@@ -13,7 +13,7 @@ from .graphs import (RED, BLUE, FLEX, EdgeKind, MixedGraph, SimpleGraph,
                      IllegalPair, ColourClash, shadow, bichromatic_pairs,
                      closure_graph, obstructing_pairs, triangles, census,
                      add_flexible, identify, join_factors, colour_swap,
-                     induced, induced_simple, from_simple, is_connected)
+                     induced, from_simple, is_connected)
 from .polynomial import (IntPolynomial, NonIntegerCoefficient,
                          falling_factorial, interpolate, compose_shift,
                          evaluate_int, evaluate_complex, display)
@@ -29,10 +29,10 @@ from .families import (FamilySpec, TooSmall, PreconditionChiNotFull,
                        mono_complete, disjoint_union, coloured_join,
                        gk2_graph, poly_GK2, cor42_graph, cor42_poly,
                        shifted_join_graph, poly_shifted_join, thm45_graph,
-                       thm45_poly, thm45_bracket, hshift_graph, hshift_poly,
+                       thm45_poly, thm45_bracket, limit_curve_experiment,
+                       hshift_graph, hshift_poly,
                        build_family)
-from .roots import (RootSet, ConvergenceFailure, find_roots,
-                    limit_curve_experiment)
+from .roots import RootSet, ConvergenceFailure, find_roots
 from .enumeration import (TooLarge, all_graphs, connected_graphs,
                           colourings_of, graph_key, automorphisms,
                           EnumerationRecord, root_cloud, records_to_csv,

@@ -16,13 +16,13 @@ from .engine import (audit_coefficients, chromatic_number, poly_interpolated,
                      poly_partition, poly_recursive)
 from .enumeration import (exhaustive_audit, connected_graphs, random_mixed_graph,
                           root_cloud)
-from .families import (cor42_graph, cor42_poly, shifted_join_graph,
-                       poly_shifted_join, thm45_graph, thm45_poly)
+from .families import (cor42_graph, cor42_poly, limit_curve_experiment,
+                       limit_curve_rows, shifted_join_graph, poly_shifted_join,
+                       thm45_bracket, thm45_graph, thm45_poly)
 from .invariance import (admits_invariant_colouring, construct_join_colouring,
                          is_invariant_structural)
 from .polynomial import IntPolynomial, evaluate_int, falling_factorial
 from .roots import find_roots
-from .svg import scatter_svg
 
 DEFAULT_SEED = 20240601
 RANDOM_PER_SIZE = 10_000
@@ -264,14 +264,15 @@ def criterion_10(jobs=4, out_dir=None):
 
 
 def criterion_11():
-    from .roots import limit_curve_experiment
     t0 = time.time()
-    rows40 = limit_curve_experiment([40])
+    # the shift translates the roots, so one solve serves both n=40 checks
+    roots40 = find_roots(thm45_bracket(40))
+    rows40 = limit_curve_rows(40, roots40)
     hit = any(abs(r[1] - 4) < 0.15 and abs(r[2]) > 2 for r in rows40)
     rows20 = limit_curve_experiment([20])
     rows60 = limit_curve_experiment([60])
     grow = (max(abs(r[2]) for r in rows60) > max(abs(r[2]) for r in rows20))
-    shifted = limit_curve_experiment([40], shift=3)
+    shifted = limit_curve_rows(40, roots40, shift=3)
     shift_hit = any(abs(r[1] - 7) < 0.15 and abs(r[2]) > 2 for r in shifted)
     shift_line = all(abs(r[4] - abs(r[1] - 7)) < 1e-12 for r in shifted)
     dt = time.time() - t0

@@ -215,15 +215,7 @@ def records_to_csv(records):
     for rec in records:
         coeffs = "/".join(str(c) for c in rec.polynomial.coeffs)
         deg = rec.polynomial.degree
-        rows = []
-        for r in rec.roots.integer_roots:
-            rows.append((float(r), 0.0, 0.0))
-        for v, res, m in rec.roots.real_roots:
-            rows.extend([(v, 0.0, res)] * m)
-        for re, im, res, m in rec.roots.complex_roots:
-            rows.extend([(re, im, res)] * m)
-            rows.extend([(re, -im, res)] * m)
-        for re, im, res in sorted(rows):
+        for re, im, res in rec.roots.rows():
             lines.append("%s,%d,%d,%s,%.12g,%.12g,%.3g"
                          % (rec.graph_key, rec.colouring_id, deg, coeffs, re, im, res))
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from itertools import combinations
 from .graphs import RED, BLUE, FLEX, EdgeKind, MixedGraph
 from .engine import chromatic_number
 from .polynomial import IntPolynomial, compose_shift, falling_factorial
+from .roots import DEFAULT_TOL, find_roots
 
 
 class PreconditionChiNotFull(Exception):
@@ -137,6 +138,28 @@ def thm45_bracket(n):
     xm4 = IntPolynomial((-4, 1))
     xm5 = IntPolynomial((-5, 1))
     return xm3 ** (n - 6) + 3 * xm4 ** (n - 5) + xm4 * xm5 ** (n - 5)
+
+
+def limit_curve_rows(n, roots, shift=0):
+    """Rows (n, re, im, residual, distance) of the RootSet of
+    thm45_bracket(n), every root moved right by shift, with its
+    horizontal distance to the limiting vertical line Re = 4 + shift."""
+    line = 4 + shift
+    return [(n, re + shift, im, res, abs(re + shift - line))
+            for re, im, res in roots.rows()]
+
+
+def limit_curve_experiment(sizes, shift=0, tol=DEFAULT_TOL):
+    """Roots of the complete-bipartite family's bracket factor and their
+    horizontal distance to the limiting vertical line Re = 4 + shift.
+
+    shift = 0 is the base family; shift = n adds a red K_n join, which
+    translates every root (and the limit line) right by n.  Returns rows
+    (size, re, im, residual, distance), conjugates written out.
+    """
+    return [row for n in sizes
+            for row in limit_curve_rows(n, find_roots(thm45_bracket(n), tol=tol),
+                                        shift)]
 
 
 def hshift_graph(n, ell):

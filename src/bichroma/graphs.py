@@ -366,14 +366,6 @@ def induced(M, subset):
     return MixedGraph(len(keep), edges)
 
 
-def induced_simple(graph, subset):
-    keep = sorted(subset)
-    index = {v: i for i, v in enumerate(keep)}
-    pairs = [(index[u], index[v]) for u, v in graph.adjacency
-             if u in index and v in index]
-    return SimpleGraph.from_edges(len(keep), pairs)
-
-
 def from_simple(graph, kind=FLEX):
     """Mixed graph with every edge of a plain graph given one kind."""
     return MixedGraph(graph.n, [(u, v, kind) for u, v in graph.adjacency])

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, from_simple,
-                     induced_simple, join_factors, shadow)
+                     join_factors, shadow)
 from .engine import classical_chromatic, poly_partition
 
 
-class HasFlexibleEdges(Exception):
+class HasFlexibleEdges(ValueError):
     pass
 
 

@@ -2,17 +2,18 @@
 
 Integer roots are split off exactly (zero roots, then a divisor scan of
 the trailing coefficient, then exact verification of any numerically
-integer-looking root).  The remaining factor goes to an Aberth-style
-simultaneous iteration in double precision, with per-root high-precision
-Newton polish when the double residual misses the tolerance.
+integer-looking root).  The remaining factor goes to one simultaneous
+Aberth-Ehrlich iteration.  It runs over Python complex numbers first;
+when an iterate misses the residual tolerance there, or two iterates
+collapse within the cluster tolerance, the same iteration runs again over
+mpmath numbers, seeded with the double iterates, at a working precision
+set by the degree and the coefficient size.
 """
 
 import cmath
 from dataclasses import dataclass, field
 
 import mpmath as mp
-
-from .polynomial import IntPolynomial, evaluate_int
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
@@ -47,14 +48,20 @@ class RootSet:
                 + sum(m for _, _, m in self.real_roots)
                 + 2 * sum(m for _, _, _, m in self.complex_roots))
 
+    def rows(self):
+        """Every root as an (re, im, residual) row, sorted, with
+        multiplicities and conjugates written out; integer roots carry
+        residual 0."""
+        rows = [(float(r), 0.0, 0.0) for r in self.integer_roots]
+        for v, res, m in self.real_roots:
+            rows.extend([(v, 0.0, res)] * m)
+        for re, im, res, m in self.complex_roots:
+            rows.extend([(re, im, res)] * m + [(re, -im, res)] * m)
+        return sorted(rows)
+
     def all_points(self):
         """Every root as a complex point, conjugates included."""
-        pts = [complex(r, 0) for r in self.integer_roots]
-        for v, _, m in self.real_roots:
-            pts.extend([complex(v, 0)] * m)
-        for re, im, _, m in self.complex_roots:
-            pts.extend([complex(re, im)] * m + [complex(re, -im)] * m)
-        return pts
+        return [complex(re, im) for re, im, _ in self.rows()]
 
 
 def _deflate_int(coeffs, r):
@@ -118,24 +125,24 @@ def _initial_circle(coeffs):
             for k in range(d)]
 
 
-def _aberth_double(coeffs):
-    """Simultaneous Aberth iteration in double precision."""
-    d = len(coeffs) - 1
-    cs = [float(c) / float(coeffs[-1]) for c in coeffs]
+def _horner(poly, z):
+    acc = 0j
+    for c in reversed(poly):
+        acc = acc * z + c
+    return acc
+
+
+def _aberth(cs, z, stop):
+    """Simultaneous Aberth-Ehrlich iteration on the monic coefficients cs
+    from the start points z, until no step exceeds stop.  The arithmetic
+    is that of the arguments: floats and complex, or mpmath numbers."""
+    d = len(cs) - 1
     dcs = [cs[i] * i for i in range(1, len(cs))]
-
-    def ev(poly, z):
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        return acc
-
-    z = _initial_circle(cs)
     for _ in range(_ABERTH_CAP):
         moved = 0.0
         for i in range(d):
-            pz = ev(cs, z[i])
-            dz = ev(dcs, z[i])
+            pz = _horner(cs, z[i])
+            dz = _horner(dcs, z[i])
             if dz == 0:
                 z[i] += 1e-6 + 1e-6j
                 moved = float("inf")
@@ -152,9 +159,18 @@ def _aberth_double(coeffs):
             step = w if denom == 0 else w / denom
             z[i] -= step
             moved = max(moved, abs(step))
-        if moved < 1e-14:
+        if moved < stop:
             break
     return z
+
+
+def _monic(coeffs, number):
+    lead = number(coeffs[-1])
+    return [number(c) / lead for c in coeffs]
+
+
+def _residuals(cs, z):
+    return [float(abs(_horner(cs, x))) for x in z]
 
 
 def _collapsed(approx):
@@ -167,42 +183,15 @@ def _collapsed(approx):
     return False
 
 
-def _solve_mp(coeffs):
-    """Full arbitrary-precision solve, used when the double-precision
-    Aberth pass collapses iterates on ill-conditioned input."""
-    degree = len(coeffs) - 1
-    digits = len(str(max(abs(c) for c in coeffs)))
-    with mp.workdps(50):
-        try:
-            roots = mp.polyroots([mp.mpf(c) for c in reversed(coeffs)],
-                                 maxsteps=200,
-                                 extraprec=10 * degree + 4 * digits)
-        except mp.libmp.NoConvergence:
-            return None
-        return [complex(r) for r in roots]
-
-
-def _polish_mp(coeffs, z0, tol, dps):
-    """Newton refinement of one root in arbitrary precision."""
-    with mp.workdps(dps):
-        cs = [mp.mpf(c) for c in coeffs]
-        dcs = [cs[i] * i for i in range(1, len(cs))]
-        z = mp.mpc(z0)
-        best, best_res = z, mp.inf
-        for _ in range(300):
-            pz = mp.polyval(cs[::-1], z)
-            res = abs(pz)
-            if res < best_res:
-                best, best_res = z, res
-            if res <= tol / 10:
-                break
-            dz = mp.polyval(dcs[::-1], z)
-            if dz == 0:
-                break
-            z = z - pz / dz
-        else:
-            pass
-        return complex(best), float(best_res)
+def _exact_hit(coeffs, approx):
+    """An integer within the cluster tolerance of an iterate that is an
+    exact root of coeffs, or None."""
+    for z in approx:
+        cand = round(z.real)
+        if (abs(z.imag) < CLUSTER_TOL and abs(z.real - cand) < CLUSTER_TOL
+                and _poly_int(coeffs, cand) == 0):
+            return cand
+    return None
 
 
 def find_roots(p, tol=DEFAULT_TOL):
@@ -215,72 +204,47 @@ def find_roots(p, tol=DEFAULT_TOL):
         raise ValueError("zero polynomial has no root set")
     if p.degree > MAX_DEGREE:
         raise ValueError("degree %d exceeds cap %d" % (p.degree, MAX_DEGREE))
-    coeffs = list(p.coeffs)
-    int_roots, coeffs = _extract_integer_roots(coeffs)
+    int_roots, coeffs = _extract_integer_roots(list(p.coeffs))
 
-    numeric = []
-    # Aberth plus a retry loop: a numeric root that lands on an exact
-    # integer (possible when the trailing coefficient was too big to
-    # divisor-scan) is deflated exactly and the remainder re-solved.
+    # a numeric root that lands on an exact integer (possible when the
+    # trailing coefficient was too big to divisor-scan) is deflated
+    # exactly and the remainder re-solved
     while len(coeffs) > 1:
-        approx = _aberth_double(coeffs)
-        exact_hit = False
-        for z in approx:
-            cand = round(z.real)
-            if (abs(z.imag) < CLUSTER_TOL and abs(z.real - cand) < CLUSTER_TOL
-                    and _poly_int(coeffs, cand) == 0):
-                int_roots.append(cand)
-                coeffs = _deflate_int(coeffs, cand)
-                exact_hit = True
-                break
-        if exact_hit:
-            continue
-        numeric = approx
-        break
+        cs = _monic(coeffs, float)
+        z = _aberth(cs, _initial_circle(cs), 1e-14)
+        hit = _exact_hit(coeffs, z)
+        if hit is None:
+            break
+        int_roots.append(hit)
+        coeffs = _deflate_int(coeffs, hit)
     int_roots.sort()
-
     if len(coeffs) <= 1:
-        return _assemble(p.degree, int_roots, [], tol)
+        return _assemble(p.degree, int_roots, [])
 
-    # residual against the monic-scaled deflated factor
-    dps = max(30, 25 + 2 * len(coeffs) + len(str(max(abs(c) for c in coeffs))))
-    def polish_all(points):
-        out = []
-        for z in points:
-            res = _residual_double(coeffs, z)
-            if res <= tol:
-                out.append((z, res))
-            else:
-                z2, res2 = _polish_mp(coeffs, z, tol, dps)
-                out.append((z2, res2))
-        return out
-
-    polished = polish_all(numeric)
-    if _collapsed([z for z, _ in polished]):
-        # iterates merged onto common points: the double pass lost roots
-        # of an ill-conditioned polynomial, so redo the solve entirely in
-        # arbitrary precision
-        solved = _solve_mp(coeffs)
-        if solved is not None:
-            polished = polish_all(solved)
-    worst = max(res for _, res in polished)
-    if worst > tol:
-        bad = max(polished, key=lambda t: t[1])
+    residuals = _residuals(cs, z)
+    if not all(r <= tol for r in residuals) or _collapsed(z):
+        # on ill-conditioned input the double pass misses the tolerance or
+        # merges iterates; carry on from its iterates at a precision that
+        # covers the degree and the coefficient size, and stop only when
+        # the steps are negligible there: stopping at the first residual
+        # under tol would leave the iterates of a double root ~1e-5 apart.
+        # Those iterates settle only to within sqrt(eps) of the root, so
+        # the stop is the cube root of eps, which they do reach
+        digits = len(str(max(abs(c) for c in coeffs)))
+        with mp.workdps(max(30, 25 + 2 * len(coeffs) + digits)):
+            cs = _monic(coeffs, mp.mpf)
+            z = _aberth(cs, [mp.mpc(x) for x in z], mp.cbrt(mp.eps))
+            residuals = _residuals(cs, z)
+            z = [complex(x) for x in z]
+    worst = max(range(len(z)), key=residuals.__getitem__)
+    if not residuals[worst] <= tol:
         raise ConvergenceFailure(
-            "residual %.3g above tolerance %.3g" % (worst, tol),
-            best=bad[0], residual=bad[1])
-    return _assemble(p.degree, int_roots, polished, tol)
+            "residual %.3g above tolerance %.3g" % (residuals[worst], tol),
+            best=z[worst], residual=residuals[worst])
+    return _assemble(p.degree, int_roots, list(zip(z, residuals)))
 
 
-def _residual_double(coeffs, z):
-    lead = float(coeffs[-1])
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + float(c) / lead
-    return abs(acc)
-
-
-def _assemble(source_degree, int_roots, polished, tol):
+def _assemble(source_degree, int_roots, polished):
     clusters = []
     for z, res in polished:
         for cl in clusters:
@@ -325,30 +289,3 @@ def _assemble(source_degree, int_roots, polished, tol):
         real_roots=tuple(reals),
         complex_roots=tuple(tuple(e) for e in complexes),
     )
-
-
-def limit_curve_experiment(sizes, shift=0, tol=DEFAULT_TOL):
-    """Roots of the complete-bipartite family's bracket factor and their
-    horizontal distance to the limiting vertical line Re = 4 + shift.
-
-    shift = 0 is the base family; shift = n adds a red K_n join, which
-    translates every root (and the limit line) right by n.  Returns rows
-    (size, re, im, residual, distance), conjugates written out.
-    """
-    from .families import thm45_bracket
-    rows = []
-    line = 4 + shift
-    for n in sizes:
-        rs = find_roots(thm45_bracket(n), tol=tol)
-        pts = []
-        for r in rs.integer_roots:
-            pts.append((float(r), 0.0, 0.0))
-        for v, res, m in rs.real_roots:
-            pts.extend([(v, 0.0, res)] * m)
-        for re, im, res, m in rs.complex_roots:
-            pts.extend([(re, im, res)] * m)
-            pts.extend([(re, -im, res)] * m)
-        for re, im, res in sorted(pts):
-            re_shifted = re + shift
-            rows.append((n, re_shifted, im, res, abs(re_shifted - line)))
-    return rows

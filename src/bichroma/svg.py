@@ -3,10 +3,6 @@
 import math
 
 
-class IoError(Exception):
-    pass
-
-
 def _ticks(lo, hi):
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
@@ -18,7 +14,7 @@ def scatter_svg(points, width=640, height=640):
     1.5 px circle.
     """
     if not points:
-        raise IoError("refusing to plot an empty point set")
+        raise ValueError("refusing to plot an empty point set")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     min_x, max_x = min(xs), max(xs)
@@ -71,8 +67,5 @@ def emit_svg(records, path):
         for z in rec.roots.all_points():
             points.append((z.real, z.imag))
     svg = scatter_svg(points)
-    try:
-        with open(path, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise IoError(str(exc))
+    with open(path, "w") as fh:
+        fh.write(svg)

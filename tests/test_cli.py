@@ -99,3 +99,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["poly", "/nonexistent/g.meg"]) == 1
+
+
+def test_invariant_flexible_edge_exit_code(tmp_path, capsys):
+    flex = tmp_path / "flex.meg"
+    flex.write_text("meg 3\n0 1 R\n1 2 F\n")
+    assert main(["invariant", str(flex)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
+def test_cloud_svg_missing_directory_exit_code(tmp_path, capsys):
+    svg = str(tmp_path / "missing" / "c.svg")
+    assert main(["cloud", "--n", "3", "--svg", svg]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err

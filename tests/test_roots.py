@@ -1,10 +1,10 @@
 import math
 import statistics
 
-from bichroma.families import cor42_poly, thm45_bracket
+from bichroma.families import cor42_poly, limit_curve_experiment, thm45_bracket
 from bichroma.polynomial import (IntPolynomial, evaluate_complex, evaluate_int,
                                  falling_factorial)
-from bichroma.roots import RootSet, find_roots, limit_curve_experiment
+from bichroma.roots import RootSet, find_roots
 
 
 def test_all_integer_roots_exact():
@@ -82,6 +82,18 @@ def test_root_count_large_coefficients():
         # relative residual check via forward evaluation
         assert abs(evaluate_complex(p, z)) <= 1e-9 * max(
             1.0, max(abs(c) for c in p.coeffs) * max(1.0, abs(z)) ** p.degree)
+
+
+def test_repeated_non_integer_root():
+    # x (x - 1) (x^2 - 3x + 3)^2: the double pair 3/2 +- (sqrt 3)/2 i
+    rs = find_roots(IntPolynomial((0, -9, 27, -33, 21, -7, 1)))
+    assert rs.integer_roots == (0, 1)
+    assert rs.real_roots == ()
+    assert len(rs.complex_roots) == 1
+    re, im, res, m = rs.complex_roots[0]
+    assert abs(complex(re, im) - complex(1.5, 0.8660254)) < 1e-7
+    assert m == 2
+    assert res <= 1e-9
 
 
 def test_limit_curve_rows():
