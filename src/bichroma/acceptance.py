@@ -225,12 +225,12 @@ def criterion_9(seed=DEFAULT_SEED):
     return True, "20 random joins invariant; C4/P5 refused; K6 admits"
 
 
-def criterion_10(jobs=4, out_dir=None):
+def criterion_10(out_dir=None):
     t0 = time.time()
-    mono = root_cloud(6, "monochromatic", jobs=1)
+    mono = root_cloud(6, "monochromatic")
     if len(mono) != 112:
         return False, "monochromatic record count %d != 112" % len(mono)
-    bi = root_cloud(6, "bichromatic", jobs=jobs)
+    bi = root_cloud(6, "bichromatic")
     expected = sum(2 ** g.edge_count() for g in connected_graphs(6))
     if len(bi) != expected:
         return False, "bichromatic record count %d != %d" % (len(bi), expected)
@@ -336,7 +336,7 @@ def run_all(seed=DEFAULT_SEED, out_dir=None, jobs=4, emit=print):
     record(7, "shift formula", *criterion_7(seed=seed))
     record(8, "invariance equivalences", *criterion_8())
     record(9, "synthesis", *criterion_9(seed=seed))
-    ok10, detail10, clouds = criterion_10(jobs=jobs, out_dir=out_dir)
+    ok10, detail10, clouds = criterion_10(out_dir=out_dir)
     record(10, "figure reproduction", ok10, detail10)
     record(11, "limit curve", *criterion_11())
     record(12, "root numerics", *criterion_12(clouds=clouds))

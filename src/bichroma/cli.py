@@ -37,6 +37,17 @@ def _default_seed():
     return int(env) if env else acceptance.DEFAULT_SEED
 
 
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def cmd_poly(args):
     M = load_mixed(args.file)
     print(display(_ENGINES[args.engine](M)))
@@ -126,7 +137,10 @@ def cmd_synth(args):
 def cmd_family(args):
     spec = FamilySpec(args.kind, tuple(args.params))
     graph, closed = build_family(spec)
-    if closed is not None:
+    if closed is None:
+        print("%s has no closed form; graph has %d vertices and %d edges"
+              % (args.kind, graph.n, len(graph.edges)))
+    else:
         print(display(closed))
         rs = find_roots(closed)
         if rs.integer_roots:
@@ -154,7 +168,7 @@ def cmd_roots(args):
 
 
 def cmd_cloud(args):
-    records = root_cloud(args.n, args.universe, jobs=args.jobs)
+    records = root_cloud(args.n, args.universe)
     print("%d records" % len(records))
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -222,13 +236,12 @@ def build_parser():
                    default="bichromatic")
     p.add_argument("--csv")
     p.add_argument("--svg")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_cloud)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
     p.add_argument("--out", default="bichroma-verify")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_positive_int, default=4)
     p.set_defaults(func=cmd_verify)
 
     return parser

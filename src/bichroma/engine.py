@@ -1,22 +1,27 @@
-"""Three independent computations of the chromatic polynomial plus the
-coefficient closed forms and their audit harness.
+"""The chromatic polynomial of a mixed graph, three independent ways, plus
+the coefficient closed forms and their audit harness.
 
-The engines are deliberately separate routes to the same value:
+P(M) is the sum, over the partitions of V(M) into blocks independent in
+the shadow with no block pair carrying both a Red and a Blue edge, of the
+falling factorial (x)_k of the block count k.
 
-* poly_interpolated -- brute-force colouring counts interpolated exactly;
-  the desk-scale ground truth.
-* poly_recursive -- the add-edge / identify recurrence with the complete
-  base case.
-* poly_partition -- sum over quotient set partitions weighted by falling
-  factorials.
+* poly_partition -- the production engine: a search over the shadow's
+  partitions into independent blocks, pruned as each vertex is placed,
+  with the Red/Blue pair check per partition.  colouring_polynomials runs
+  the same search once per shadow and tests all 2^m Red/Blue colourings
+  of its edges at once; classical_chromatic is the all-Flexible case.
+* poly_recursive -- oracle: the add-edge / identify recurrence with the
+  complete base case.
+* poly_interpolated -- oracle: brute-force colouring counts interpolated
+  exactly; the desk-scale ground truth.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
-from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, add_flexible,
-                     bichromatic_pairs, census, identify, shadow)
+from .graphs import (RED, BLUE, FLEX, add_flexible, census, from_simple,
+                     identify)
 from .polynomial import IntPolynomial, falling_factorial, interpolate
 
 try:
@@ -134,23 +139,38 @@ def poly_interpolated(M):
     return interpolate([count_colourings(M, k) for k in range(M.n + 1)])
 
 
-def _legal_pairs(M):
-    sh = shadow(M)
-    blocked = sh.adjacency | bichromatic_pairs(M)
-    return [(u, v) for u in range(M.n) for v in range(u + 1, M.n)
-            if (u, v) not in blocked]
+def _choose_pair(M):
+    """The pair the recurrence splits on, or None when every pair is
+    adjacent or bichromatic.
 
-
-def _pick_pair(M, pairs):
-    # prefer the pair with the most common shadow neighbours: identifying
-    # it removes the most parallel edges, speeding saturation
-    sh = shadow(M)
-    nbrs = [sh.neighbours(v) for v in range(M.n)]
+    Neighbour sets are built in one pass over the edges.  A non-adjacent
+    pair {u,v} is bichromatic iff a Red neighbour of one is a Blue
+    neighbour of the other.  Among the legal pairs the first with the most
+    common shadow neighbours wins: identifying it removes the most
+    parallel edges, speeding saturation.
+    """
+    n = M.n
+    nbrs = [set() for _ in range(n)]
+    red = [set() for _ in range(n)]
+    blue = [set() for _ in range(n)]
+    for (u, v), kind in M.edges.items():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+        if kind is RED:
+            red[u].add(v)
+            red[v].add(u)
+        elif kind is BLUE:
+            blue[u].add(v)
+            blue[v].add(u)
     best, best_score = None, -1
-    for u, v in pairs:
-        score = len(nbrs[u] & nbrs[v])
-        if score > best_score:
-            best, best_score = (u, v), score
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (v in nbrs[u] or not red[u].isdisjoint(blue[v])
+                    or not blue[u].isdisjoint(red[v])):
+                continue
+            score = len(nbrs[u] & nbrs[v])
+            if score > best_score:
+                best, best_score = (u, v), score
     return best
 
 
@@ -174,11 +194,11 @@ def _poly_recursive(M, cache):
         hit = cache.get(key)
         if hit is not None:
             return hit
-    pairs = _legal_pairs(M)
-    if not pairs:
+    pair = _choose_pair(M)
+    if pair is None:
         result = falling_factorial(M.n)
     else:
-        x, y = _pick_pair(M, pairs)
+        x, y = pair
         result = (_poly_recursive(add_flexible(M, x, y), cache)
                   + _poly_recursive(identify(M, x, y), cache))
     if cache is not None:
@@ -186,63 +206,103 @@ def _poly_recursive(M, cache):
     return result
 
 
-def _set_partitions(n):
-    """Restricted-growth strings: yields block-index arrays."""
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-    b = [0] * n  # b[i] = max(a[:i+1])
-    while True:
-        yield a
-        # advance
-        i = n - 1
-        while i > 0 and a[i] == b[i - 1] + 1:
-            i -= 1
-        if i == 0:
+def independent_partitions(n, edges):
+    """Every partition of 0..n-1 into blocks independent in the plain
+    graph with the given edges, as (block, k): block[v] is the index of
+    v's block, blocks numbered in order of their least vertex, and k is
+    the block count.
+
+    Vertices are placed in order; a block is skipped as soon as one of
+    the vertex's lower neighbours lies in it.  The block list is reused
+    between yields: copy it to keep it.
+    """
+    lower = [[] for _ in range(n)]
+    for u, v in edges:
+        lower[max(u, v)].append(min(u, v))
+    block = [0] * n
+
+    def place(v, k):
+        if v == n:
+            yield block, k
             return
-        a[i] += 1
-        b[i] = max(b[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = b[i]
+        taken = {block[u] for u in lower[v]}
+        for b in range(k):
+            if b not in taken:
+                block[v] = b
+                yield from place(v + 1, k)
+        block[v] = k
+        yield from place(v + 1, k + 1)
+
+    return place(0, 0)
 
 
 def poly_partition(M):
-    """Sum over valid quotient partitions weighted by falling factorials.
+    """Sum over valid partitions weighted by falling factorials.
 
     A partition is valid when every block is independent in the shadow and
     no two blocks carry both a Red and a Blue edge between them.
     """
-    n = M.n
-    if n == 0:
-        return IntPolynomial.one()
-    edges = [(u, v, kind) for (u, v), kind in M.edges.items()]
-    counts = [0] * (n + 1)  # counts[k] = partitions into exactly k blocks
-    for a in _set_partitions(n):
+    coloured = [(u, v, kind) for (u, v), kind in M.edges.items()
+                if kind is not FLEX]
+    counts = [0] * (M.n + 1)  # counts[k] = valid partitions into k blocks
+    for block, k in independent_partitions(M.n, M.edges):
         pair_kind = {}
-        valid = True
-        for u, v, kind in edges:
-            bu, bv = a[u], a[v]
-            if bu == bv:
-                valid = False
-                break
-            if kind is FLEX:
-                continue
+        for u, v, kind in coloured:
+            bu, bv = block[u], block[v]
             code = (bu, bv) if bu < bv else (bv, bu)
-            seen = pair_kind.get(code)
-            if seen is None:
-                pair_kind[code] = kind
-            elif seen is not kind:
-                valid = False
+            seen = pair_kind.setdefault(code, kind)
+            if seen is not kind:
                 break
-        if valid:
-            counts[max(a) + 1] += 1
+        else:
+            counts[k] += 1
     result = IntPolynomial.zero()
     for k, c in enumerate(counts):
         if c:
             result = result + c * falling_factorial(k)
     return result
+
+
+_BATCH_MAX_N = 13  # Bell(n) * n! < 2**63
+
+
+def colouring_polynomials(graph):
+    """Chromatic polynomials of all 2^m Red/Blue colourings of a plain
+    graph with m edges, as an int64 array of shape (2^m, n + 1) holding
+    ascending coefficients.
+
+    Row `mask` is the colouring whose Blue edges are the set bits of mask
+    over the edges in sorted order, which is colourings_of's numbering.
+    One search over the shadow's independent partitions serves every
+    colouring: a partition is valid for a mask iff the edges between each
+    pair of its blocks are all Red or all Blue, a test made for all masks
+    at once.  Counts are at most Bell(n) and the falling-factorial
+    coefficients at most n! in size, so int64 is exact for n <= 13.
+    """
+    n = graph.n
+    if n > _BATCH_MAX_N:
+        raise ValueError("colouring_polynomials is exact for n <= %d only"
+                         % _BATCH_MAX_N)
+    edges = sorted(graph.adjacency)
+    masks = _np.arange(1 << len(edges), dtype=_np.int64)
+    counts = _np.zeros((n + 1, len(masks)), dtype=_np.int64)
+    for block, k in independent_partitions(n, edges):
+        groups = {}
+        for i, (u, v) in enumerate(edges):
+            bu, bv = block[u], block[v]
+            code = (bu, bv) if bu < bv else (bv, bu)
+            groups[code] = groups.get(code, 0) | 1 << i
+        valid = None
+        for bits in groups.values():
+            if bits & (bits - 1):  # two or more edges between the blocks
+                blue = masks & bits
+                mono = (blue == 0) | (blue == bits)
+                valid = mono if valid is None else valid & mono
+        counts[k] += 1 if valid is None else valid
+    factorials = _np.zeros((n + 1, n + 1), dtype=_np.int64)
+    for k in range(n + 1):
+        coeffs = falling_factorial(k).coeffs
+        factorials[k, :len(coeffs)] = coeffs
+    return counts.T @ factorials
 
 
 def chromatic_number(M):
@@ -260,23 +320,9 @@ def chromatic_number(M):
 
 
 def classical_chromatic(graph):
-    """Ordinary chromatic polynomial of a plain graph by deletion-contraction."""
-    return _del_con(graph.n, frozenset(graph.adjacency))
-
-
-def _del_con(n, edges):
-    if not edges:
-        return IntPolynomial.x() ** n
-    u, v = min(edges)
-    deleted = edges - {(u, v)}
-    # contract v into u, compact labels above v
-    contracted = set()
-    for a, b in deleted:
-        a2 = u if a == v else (a - 1 if a > v else a)
-        b2 = u if b == v else (b - 1 if b > v else b)
-        if a2 != b2:
-            contracted.add((a2, b2) if a2 < b2 else (b2, a2))
-    return _del_con(n, deleted) - _del_con(n - 1, frozenset(contracted))
+    """Ordinary chromatic polynomial of a plain graph: with every edge
+    Flexible there is no colour-pair condition."""
+    return poly_partition(from_simple(graph))
 
 
 def coeff_formula_second(M):

@@ -12,8 +12,9 @@ import numpy as np
 
 from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, from_simple,
                      is_connected, shadow)
-from .engine import (audit_coefficients, classical_chromatic, poly_interpolated,
-                     poly_partition, poly_recursive)
+from .engine import (audit_coefficients, classical_chromatic,
+                     colouring_polynomials, poly_interpolated, poly_partition,
+                     poly_recursive)
 from .invariance import (independent_pair_witness, is_invariant_by_polynomial,
                          is_invariant_structural)
 from .polynomial import IntPolynomial
@@ -170,38 +171,39 @@ class EnumerationRecord:
     roots: object  # RootSet
 
 
-def _cloud_one_graph(args):
-    n, edges, universe = args
-    graph = SimpleGraph.from_edges(n, edges)
-    key = graph_key(graph)
-    out = []
-    if universe == "monochromatic":
-        poly = classical_chromatic(graph)
-        out.append(EnumerationRecord(key, 0, poly, find_roots(poly)))
-    else:
-        for cid, M in enumerate(colourings_of(graph, dedup=False)):
-            poly = poly_recursive(M)
-            out.append(EnumerationRecord(key, cid, poly, find_roots(poly)))
-    return out
-
-
 def root_cloud(n, universe="bichromatic", jobs=1):
     """Polynomials and roots of every colouring of every connected
     n-vertex graph (or the plain chromatic polynomials for the
-    monochromatic universe).  Deterministically ordered."""
+    monochromatic universe).  Deterministically ordered.
+
+    Each shadow's colourings come from one colouring_polynomials batch,
+    and each distinct polynomial is built and solved once: records with
+    equal polynomials share the same IntPolynomial and RootSet objects.
+    jobs is accepted for compatibility and must be at least 1; the cloud
+    is always built in this process.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if n > 6:
         raise TooLarge("root cloud capped at n = 6")
     universe = universe.lower()
     if universe not in ("bichromatic", "monochromatic"):
         raise ValueError("universe must be bichromatic or monochromatic")
-    tasks = [(n, tuple(sorted(g.adjacency)), universe) for g in connected_graphs(n)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_cloud_one_graph, tasks))
-    else:
-        chunks = [_cloud_one_graph(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    solved = {}  # coefficient tuple -> (IntPolynomial, RootSet)
+    records = []
+    for graph in connected_graphs(n):
+        key = graph_key(graph)
+        if universe == "monochromatic":
+            rows = [classical_chromatic(graph).coeffs]
+        else:
+            rows = colouring_polynomials(graph).tolist()
+        for cid, row in enumerate(rows):
+            coeffs = tuple(row)
+            entry = solved.get(coeffs)
+            if entry is None:
+                poly = IntPolynomial(coeffs)
+                entry = solved[coeffs] = (poly, find_roots(poly))
+            records.append(EnumerationRecord(key, cid, *entry))
     records.sort(key=lambda r: (r.graph_key, r.colouring_id))
     return records
 
@@ -210,14 +212,25 @@ CSV_HEADER = "graph_key,colouring_id,degree,coeffs,re,im,residual"
 
 
 def records_to_csv(records):
-    """One row per root, conjugates written out; byte-stable ordering."""
+    """One row per root, conjugates written out; byte-stable ordering.
+
+    The rows of a (polynomial, roots) pair are formatted once and each
+    record adds its own graph_key,colouring_id prefix.  Pairs are keyed
+    by object identity, which costs nothing for root_cloud's shared
+    objects; equal but distinct objects are merely formatted again.
+    """
     lines = [CSV_HEADER]
+    tails = {}
     for rec in records:
-        coeffs = "/".join(str(c) for c in rec.polynomial.coeffs)
-        deg = rec.polynomial.degree
-        for re, im, res in rec.roots.rows():
-            lines.append("%s,%d,%d,%s,%.12g,%.12g,%.3g"
-                         % (rec.graph_key, rec.colouring_id, deg, coeffs, re, im, res))
+        ident = (id(rec.polynomial), id(rec.roots))
+        tail = tails.get(ident)
+        if tail is None:
+            head = "%d,%s," % (rec.polynomial.degree,
+                               "/".join(str(c) for c in rec.polynomial.coeffs))
+            tail = tails[ident] = [head + "%.12g,%.12g,%.3g" % row
+                                   for row in rec.roots.rows()]
+        prefix = "%s,%d," % (rec.graph_key, rec.colouring_id)
+        lines.extend([prefix + row for row in tail])
     return "\n".join(lines) + "\n"
 
 

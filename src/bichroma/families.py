@@ -173,9 +173,19 @@ def hshift_poly(n, ell):
                              joining_colour=BLUE)
 
 
+# parameter count of each family kind
+_FAMILY_ARITY = {"mono_union": 2, "gk2": 1, "cor42": 1, "thm45": 1, "hshift": 2}
+
+
 def build_family(spec):
-    """FamilySpec -> (MixedGraph, closed-form IntPolynomial)."""
+    """FamilySpec -> (MixedGraph, closed-form IntPolynomial or None)."""
     kind, params = spec.kind, spec.params
+    arity = _FAMILY_ARITY.get(kind)
+    if arity is None:
+        raise ValueError("unknown family kind %r" % kind)
+    if len(params) != arity:
+        raise ValueError("family %s takes %d parameter%s, got %d"
+                         % (kind, arity, "" if arity == 1 else "s", len(params)))
     if kind == "mono_union":
         n, m = params
         graph = disjoint_union(mono_complete(n, RED), mono_complete(m, BLUE))
@@ -186,7 +196,5 @@ def build_family(spec):
     if kind == "thm45":
         (n,) = params
         return thm45_graph(n), thm45_poly(n)
-    if kind == "hshift":
-        n, ell = params
-        return hshift_graph(n, ell), hshift_poly(n, ell)
-    raise ValueError("unknown family kind %r" % kind)
+    n, ell = params
+    return hshift_graph(n, ell), hshift_poly(n, ell)

@@ -40,7 +40,7 @@ def sweep():
 @pytest.fixture(scope="session")
 def clouds_result():
     os.makedirs(OUT_DIR, exist_ok=True)
-    return acceptance.criterion_10(jobs=JOBS, out_dir=OUT_DIR)
+    return acceptance.criterion_10(out_dir=OUT_DIR)
 
 
 def test_criterion_01_engine_agreement(sweep, report):

@@ -114,3 +114,23 @@ def test_cloud_svg_missing_directory_exit_code(tmp_path, capsys):
     assert main(["cloud", "--n", "3", "--svg", svg]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+
+
+def test_family_wrong_parameter_count(capsys):
+    assert main(["family", "thm45", "5", "6"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: family thm45 takes 1 parameter, got 2"
+
+
+def test_family_without_closed_form(capsys):
+    assert main(["family", "mono_union", "2", "2"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "mono_union has no closed form; graph has 4 vertices and 2 edges")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

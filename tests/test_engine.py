@@ -1,13 +1,16 @@
 import random
 
-from bichroma.graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph, shadow
+from bichroma.graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph,
+                             from_simple, shadow)
 from bichroma.engine import (audit_coefficients, canonical_mixed_key,
                              chromatic_number, classical_chromatic,
                              coeff_formula_second, coeff_formula_third,
-                             count_colourings, poly_interpolated,
+                             colouring_polynomials, count_colourings,
+                             independent_partitions, poly_interpolated,
                              poly_partition, poly_recursive)
 from bichroma.engine import _count_backtracking, _count_vectorized
-from bichroma.enumeration import all_labelled_mixed, random_mixed_graph
+from bichroma.enumeration import (all_graphs, all_labelled_mixed,
+                                  colourings_of, random_mixed_graph)
 from bichroma.polynomial import IntPolynomial, evaluate_int, falling_factorial
 
 ENGINES = (poly_interpolated, poly_recursive, poly_partition)
@@ -78,6 +81,27 @@ def test_engines_agree_random_n6():
         p = poly_interpolated(M)
         assert poly_recursive(M) == p
         assert poly_partition(M) == p
+
+
+def test_classical_equals_recurrence_up_to_n6():
+    for n in range(7):
+        for g in all_graphs(n):
+            assert classical_chromatic(g) == poly_recursive(from_simple(g))
+
+
+def test_independent_partitions_n3_path():
+    # P3 = 0-1-2: {0}{1}{2} and {0,2}{1}
+    got = sorted((tuple(block), k)
+                 for block, k in independent_partitions(3, [(0, 1), (1, 2)]))
+    assert got == [((0, 1, 0), 2), ((0, 1, 2), 3)]
+
+
+def test_colouring_polynomials_follow_colourings_of():
+    rng = random.Random(5)
+    for g in rng.sample(all_graphs(5), 8):
+        rows = colouring_polynomials(g)
+        for mask, M in enumerate(colourings_of(g)):
+            assert IntPolynomial(rows[mask].tolist()) == poly_partition(M)
 
 
 def test_classical_c4():

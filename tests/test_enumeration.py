@@ -1,15 +1,18 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from bichroma.graphs import RED, BLUE, SimpleGraph, is_connected
-from bichroma.engine import classical_chromatic
-from bichroma.enumeration import (CSV_HEADER, TooLarge, all_graphs,
-                                  all_labelled_mixed, automorphisms,
-                                  colourings_of, connected_graphs,
-                                  exhaustive_audit, graph_key,
-                                  random_mixed_graph, records_to_csv,
-                                  root_cloud)
+from bichroma.engine import classical_chromatic, poly_recursive
+from bichroma.enumeration import (CSV_HEADER, EnumerationRecord, TooLarge,
+                                  all_graphs, all_labelled_mixed,
+                                  automorphisms, colourings_of,
+                                  connected_graphs, exhaustive_audit,
+                                  graph_key, random_mixed_graph,
+                                  records_to_csv, root_cloud)
+from bichroma.polynomial import IntPolynomial
+from bichroma.roots import find_roots
 
 # graph counts up to isomorphism for n = 0..7
 ALL_COUNTS = [1, 1, 2, 4, 11, 34, 156]
@@ -86,8 +89,46 @@ def test_root_cloud_mono_is_classical():
                 assert rec.polynomial == classical_chromatic(g)
 
 
-def test_root_cloud_parallel_matches_serial():
-    assert root_cloud(4, "bichromatic", jobs=2) == root_cloud(4, "bichromatic")
+def _assert_cloud_matches_recurrence(records, graphs):
+    by_key = {}
+    for rec in records:
+        by_key.setdefault(rec.graph_key, []).append(rec)
+    for g in graphs:
+        recs = by_key[graph_key(g)]
+        want = list(colourings_of(g))
+        assert [r.colouring_id for r in recs] == list(range(len(want)))
+        for rec, M in zip(recs, want):
+            assert rec.polynomial == poly_recursive(M)
+            assert rec.roots == find_roots(rec.polynomial)
+
+
+def test_root_cloud_matches_recurrence_up_to_n5():
+    # every colouring of every connected graph, 3,088 records at n = 5
+    for n in range(1, 6):
+        records = root_cloud(n, "bichromatic")
+        graphs = connected_graphs(n)
+        assert len(records) == sum(2 ** g.edge_count() for g in graphs)
+        _assert_cloud_matches_recurrence(records, graphs)
+
+
+def test_root_cloud_matches_recurrence_n6_sample():
+    graphs = random.Random(6).sample(connected_graphs(6), 5)
+    _assert_cloud_matches_recurrence(root_cloud(6, "bichromatic"), graphs)
+
+
+def test_root_cloud_shares_solved_polynomials():
+    records = root_cloud(4, "bichromatic")
+    by_coeffs = {}
+    for rec in records:
+        poly, roots = by_coeffs.setdefault(rec.polynomial.coeffs,
+                                           (rec.polynomial, rec.roots))
+        assert rec.polynomial is poly and rec.roots is roots
+
+
+def test_root_cloud_rejects_jobs_below_one():
+    with pytest.raises(ValueError):
+        root_cloud(3, jobs=0)
+    assert root_cloud(3, jobs=2) == root_cloud(3)
 
 
 def test_csv_stable():
@@ -98,6 +139,15 @@ def test_csv_stable():
     # one row per root including conjugates
     assert len(text.splitlines()) == 1 + sum(
         r.roots.total_count() for r in records)
+
+
+def test_csv_shared_and_unshared_rootsets_agree():
+    shared = root_cloud(4, "bichromatic")
+    unshared = [EnumerationRecord(r.graph_key, r.colouring_id,
+                                  IntPolynomial(r.polynomial.coeffs),
+                                  replace(r.roots)) for r in shared]
+    assert unshared[0].roots is not shared[0].roots
+    assert records_to_csv(unshared) == records_to_csv(shared)
 
 
 def test_exhaustive_audit_n3_clean():
