@@ -12,8 +12,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph, shadow
-from .engine import (audit_coefficients, chromatic_number, poly_interpolated,
-                     poly_partition, poly_recursive)
+from .engine import (audit_coefficients, chromatic_number,
+                     coeff_formula_second, poly_interpolated, poly_partition,
+                     poly_recursive)
 from .enumeration import (exhaustive_audit, connected_graphs, random_mixed_graph,
                           root_cloud)
 from .families import (cor42_graph, cor42_poly, limit_curve_experiment,
@@ -41,7 +42,6 @@ def _agreement_chunk(args):
         if not (p_int.degree == n and p_int.coefficient(n) == 1
                 and p_int.coefficient(0) == 0):
             thm21_bad += 1
-        from .engine import coeff_formula_second
         if coeff_formula_second(M) != p_int.coefficient(n - 1):
             thm22_bad += 1
     return mismatch, thm21_bad, thm22_bad

@@ -10,18 +10,19 @@ falling factorial (x)_k of the block count k.
   with the Red/Blue pair check per partition.  colouring_polynomials runs
   the same search once per shadow and tests all 2^m Red/Blue colourings
   of its edges at once; classical_chromatic is the all-Flexible case.
-* poly_recursive -- oracle: the add-edge / identify recurrence with the
-  complete base case.
+* poly_recursive -- oracle: the add-edge / identify recurrence
+  P(M) = P(M + xy) + P(M / xy) with the complete base case, run on three
+  int bitmasks per vertex (shadow, Red and Blue neighbours) and counting
+  its leaves by vertex count.  It walks its own recursion tree, not the
+  partition search, so its agreement with poly_partition is evidence.
 * poly_interpolated -- oracle: brute-force colouring counts interpolated
   exactly; the desk-scale ground truth.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb
 
-from .graphs import (RED, BLUE, FLEX, add_flexible, census, from_simple,
-                     identify)
+from .graphs import RED, BLUE, FLEX, ColourClash, census, from_simple
 from .polynomial import IntPolynomial, falling_factorial, interpolate
 
 try:
@@ -139,70 +140,101 @@ def poly_interpolated(M):
     return interpolate([count_colourings(M, k) for k in range(M.n + 1)])
 
 
-def _choose_pair(M):
-    """The pair the recurrence splits on, or None when every pair is
-    adjacent or bichromatic.
-
-    Neighbour sets are built in one pass over the edges.  A non-adjacent
-    pair {u,v} is bichromatic iff a Red neighbour of one is a Blue
-    neighbour of the other.  Among the legal pairs the first with the most
-    common shadow neighbours wins: identifying it removes the most
-    parallel edges, speeding saturation.
-    """
-    n = M.n
-    nbrs = [set() for _ in range(n)]
-    red = [set() for _ in range(n)]
-    blue = [set() for _ in range(n)]
-    for (u, v), kind in M.edges.items():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-        if kind is RED:
-            red[u].add(v)
-            red[v].add(u)
-        elif kind is BLUE:
-            blue[u].add(v)
-            blue[v].add(u)
-    best, best_score = None, -1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (v in nbrs[u] or not red[u].isdisjoint(blue[v])
-                    or not blue[u].isdisjoint(red[v])):
-                continue
-            score = len(nbrs[u] & nbrs[v])
-            if score > best_score:
-                best, best_score = (u, v), score
-    return best
-
-
-def poly_recursive(M, cache=None):
-    """Add-edge / identify recurrence.
+def poly_recursive(M):
+    """Add-edge / identify recurrence: P(M) = P(M + xy) + P(M / xy) over a
+    pair {x, y} that is neither adjacent nor bichromatic.
 
     When every vertex pair is adjacent or a bichromatic pair, each vertex
-    is forced its own colour and the polynomial is the falling factorial.
-    Pass cache=True (or a dict) to memoize on a brute-force canonical key;
-    only sensible for small instances.
+    is forced its own colour and the polynomial is the falling factorial
+    (x)_n.  The recursion runs on vertex bitmasks (see _split) and counts
+    its leaves by vertex count; the polynomial is assembled once at the
+    end.  It shares no code with the partition search, so it stays an
+    independent check on poly_partition.
     """
-    if cache is True:
-        cache = {}
-    return _poly_recursive(M, cache)
+    n = M.n
+    nbrs, red, blue = [0] * n, [0] * n, [0] * n
+    for (u, v), kind in M.edges.items():
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+        if kind is RED:
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+        elif kind is BLUE:
+            blue[u] |= 1 << v
+            blue[v] |= 1 << u
+    counts = [0] * (n + 1)
+    _split(nbrs, red, blue, counts)
+    return _falling_factorial_sum(counts)
 
 
-def _poly_recursive(M, cache):
-    key = None
-    if cache is not None:
-        key = canonical_mixed_key(M)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    pair = _choose_pair(M)
+def _split(nbrs, red, blue, counts):
+    """Add to counts[k] the leaves with k vertices of the recursion tree
+    below the graph whose vertex v has shadow, Red and Blue neighbour
+    masks nbrs[v], red[v] and blue[v].
+
+    The split pair is the first {u, v}, u < v, that is legal (not
+    adjacent, and no Red neighbour of one end a Blue neighbour of the
+    other) and has the most common shadow neighbours: identifying it
+    removes the most parallel edges, speeding saturation.  Adding the
+    edge sets two bits.  Identifying y into x ORs their rows, moves each
+    neighbour's bit y to x, then drops bit y from every mask, shifting
+    the higher bits down so the vertices stay numbered 0..n-2 in order.
+    A Flexible edge beside a coloured one takes the coloured kind.
+    """
+    n = len(nbrs)
+    pair, best = None, -1
+    for u in range(n):
+        nu, ru, bu = nbrs[u], red[u], blue[u]
+        later = ~nu & ((1 << n) - (2 << u))  # non-neighbours v > u
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            if ru & blue[v] or bu & red[v]:
+                continue
+            score = (nu & nbrs[v]).bit_count()
+            if score > best:
+                pair, best = (u, v), score
     if pair is None:
-        result = falling_factorial(M.n)
-    else:
-        x, y = pair
-        result = (_poly_recursive(add_flexible(M, x, y), cache)
-                  + _poly_recursive(identify(M, x, y), cache))
-    if cache is not None:
-        cache[key] = result
+        counts[n] += 1
+        return
+    x, y = pair
+    added = nbrs.copy()
+    added[x] |= 1 << y
+    added[y] |= 1 << x
+    _split(added, red, blue, counts)
+    merged_red = _identify_rows(red, x, y)
+    merged_blue = _identify_rows(blue, x, y)
+    if merged_red[x] & merged_blue[x]:
+        raise ColourClash("merging %d and %d puts a Red edge beside a Blue"
+                          " one" % (x, y))
+    _split(_identify_rows(nbrs, x, y), merged_red, merged_blue, counts)
+
+
+def _identify_rows(rows, x, y):
+    """The masks rows with vertex y merged into vertex x < y."""
+    low = (1 << y) - 1
+    high = ~low
+    bit_x = 1 << x
+    merged = rows[x] | rows[y]
+    out = []
+    for v, m in enumerate(rows):
+        if v == x:
+            m = merged
+        elif v == y:
+            continue
+        elif m >> y & 1:
+            m |= bit_x
+        out.append(m & low | m >> 1 & high)
+    return out
+
+
+def _falling_factorial_sum(counts):
+    """The polynomial sum of counts[k] * (x)_k."""
+    result = IntPolynomial.zero()
+    for k, c in enumerate(counts):
+        if c:
+            result = result + c * falling_factorial(k)
     return result
 
 
@@ -255,11 +287,7 @@ def poly_partition(M):
                 break
         else:
             counts[k] += 1
-    result = IntPolynomial.zero()
-    for k, c in enumerate(counts):
-        if c:
-            result = result + c * falling_factorial(k)
-    return result
+    return _falling_factorial_sum(counts)
 
 
 _BATCH_MAX_N = 13  # Bell(n) * n! < 2**63
@@ -364,31 +392,15 @@ class CoefficientAudit:
 
 
 def audit_coefficients(M, poly=None):
-    """Compare both closed forms against an engine-computed polynomial."""
+    """Compare both closed forms against an engine-computed polynomial:
+    poly if given, else poly_partition(M)."""
     if M.n < 2:
         raise ValueError("needs at least two vertices")
     if poly is None:
-        poly = poly_interpolated(M)
+        poly = poly_partition(M)
     return CoefficientAudit(
         formula_second=coeff_formula_second(M),
         true_second=poly.coefficient(M.n - 1),
         formula_third=coeff_formula_third(M),
         true_third=poly.coefficient(M.n - 2),
     )
-
-
-_KIND_CODE = {None: 0, RED: 1, BLUE: 2, FLEX: 3}
-
-
-def canonical_mixed_key(M):
-    """Canonical form by permutation minimization; intended for n <= 10."""
-    if M.n > 10:
-        raise ValueError("canonical key is brute force; n <= 10 only")
-    n = M.n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    best = None
-    for perm in permutations(range(n)):
-        code = tuple(_KIND_CODE[M.kind(perm[u], perm[v])] for u, v in pairs)
-        if best is None or code < best:
-            best = code
-    return (n, best)

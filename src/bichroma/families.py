@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import RED, BLUE, FLEX, EdgeKind, MixedGraph
-from .engine import chromatic_number
+from .engine import chromatic_number, poly_recursive
 from .polynomial import IntPolynomial, compose_shift, falling_factorial
 from .roots import DEFAULT_TOL, find_roots
 
@@ -98,7 +98,6 @@ def poly_shifted_join(G, n, clique_colour=RED, joining_colour=BLUE):
     if isinstance(G, IntPolynomial):
         base = G
     else:
-        from .engine import poly_recursive
         base = poly_recursive(G)
     return falling_factorial(n) * compose_shift(base, n)
 

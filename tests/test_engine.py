@@ -1,14 +1,16 @@
 import random
+from itertools import combinations
+from math import comb
 
 from bichroma.graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph,
                              from_simple, shadow)
-from bichroma.engine import (audit_coefficients, canonical_mixed_key,
-                             chromatic_number, classical_chromatic,
+from bichroma.engine import (audit_coefficients, chromatic_number,
+                             classical_chromatic,
                              coeff_formula_second, coeff_formula_third,
                              colouring_polynomials, count_colourings,
                              independent_partitions, poly_interpolated,
                              poly_partition, poly_recursive)
-from bichroma.engine import _count_backtracking, _count_vectorized
+from bichroma.engine import _count_backtracking, _count_vectorized, _split
 from bichroma.enumeration import (all_graphs, all_labelled_mixed,
                                   colourings_of, random_mixed_graph)
 from bichroma.polynomial import IntPolynomial, evaluate_int, falling_factorial
@@ -145,17 +147,57 @@ def test_coeff_formula_third_is_callable_everywhere():
         coeff_formula_third(M)
 
 
-def test_canonical_mixed_key_isomorphism():
-    a = MixedGraph(4, [(0, 1, RED), (2, 3, BLUE)])
-    b = MixedGraph(4, [(0, 3, RED), (1, 2, BLUE)])
-    c = MixedGraph(4, [(0, 1, RED), (2, 3, RED)])
-    assert canonical_mixed_key(a) == canonical_mixed_key(b)
-    assert canonical_mixed_key(a) != canonical_mixed_key(c)
+def test_audit_truth_matches_brute_force_n4():
+    for M in all_labelled_mixed(4):
+        assert audit_coefficients(M) == audit_coefficients(
+            M, poly=poly_interpolated(M))
 
 
-def test_recursive_cache_consistency():
-    rng = random.Random(77)
-    cache = {}
-    for _ in range(10):
-        M = random_mixed_graph(5, rng)
-        assert poly_recursive(M, cache=cache) == poly_recursive(M)
+def random_kinded_graph(n, density, rng, kinds=(RED, BLUE, FLEX)):
+    pairs = rng.sample(list(combinations(range(n), 2)),
+                       round(density * comb(n, 2)))
+    return MixedGraph(n, [(u, v, rng.choice(kinds)) for u, v in pairs])
+
+
+def test_recurrence_matches_partition_random_n7_to_9():
+    rng = random.Random(2020)
+    for n in (7, 8, 9):
+        for density in (0.3, 0.5, 0.75):
+            for _ in range(7):
+                M = random_kinded_graph(n, density, rng)
+                assert poly_recursive(M) == poly_partition(M)
+
+
+def test_recurrence_edgeless_n8_has_bell_leaves():
+    counts = [0] * 9
+    _split([0] * 8, [0] * 8, [0] * 8, counts)
+    # Stirling numbers of the second kind S(8, k); they sum to Bell(8)
+    assert counts == [0, 1, 127, 966, 1701, 1050, 266, 28, 1]
+    assert sum(counts) == 4140
+    assert poly_recursive(MixedGraph(8, [])) == IntPolynomial((0,) * 8 + (1,))
+
+
+def test_recurrence_complete_graphs():
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for kind in (RED, BLUE, FLEX):
+            M = MixedGraph(n, [(u, v, kind) for u, v in pairs])
+            assert poly_recursive(M) == falling_factorial(n)
+        mixed = MixedGraph(n, [(u, v, (RED, BLUE, FLEX)[i % 3])
+                               for i, (u, v) in enumerate(pairs)])
+        assert poly_recursive(mixed) == falling_factorial(n)
+
+
+def test_recurrence_bichromatic_witnesses():
+    assert poly_recursive(two_k2()) == IntPolynomial((0, 2, -1, -2, 1))
+    square = MixedGraph(4, [(0, 1, RED), (0, 2, RED), (1, 3, BLUE), (2, 3, BLUE)])
+    # x (x - 1) (x - 2)^2: the Blue-Red pairs force 1 and 2 apart
+    assert poly_recursive(square) == IntPolynomial((0, -4, 8, -5, 1))
+
+
+def test_recurrence_all_flexible_is_classical_n7_n8():
+    rng = random.Random(68)
+    for n in (7, 8):
+        for density in (0.3, 0.5, 0.75):
+            M = random_kinded_graph(n, density, rng, kinds=(FLEX,))
+            assert poly_recursive(M) == classical_chromatic(shadow(M))
