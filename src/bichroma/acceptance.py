@@ -9,14 +9,12 @@ disagreement census as a report artifact.
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph, shadow
-from .engine import (audit_coefficients, chromatic_number,
-                     coeff_formula_second, poly_interpolated, poly_partition,
-                     poly_recursive)
+from .engine import (audit_coefficients, coeff_formula_second,
+                     poly_interpolated, poly_partition, poly_recursive)
 from .enumeration import (exhaustive_audit, connected_graphs, random_mixed_graph,
-                          root_cloud)
+                          root_cloud, write_thm24_disagreements)
 from .families import (cor42_graph, cor42_poly, limit_curve_experiment,
                        limit_curve_rows, shifted_join_graph, poly_shifted_join,
                        thm45_bracket, thm45_graph, thm45_poly)
@@ -29,55 +27,31 @@ DEFAULT_SEED = 20240601
 RANDOM_PER_SIZE = 10_000
 
 
-def _agreement_chunk(args):
-    """Worker: random engine-agreement instances; returns violation counts."""
-    n, seed, count = args
-    rng = random.Random(seed)
-    mismatch = thm21_bad = thm22_bad = 0
-    for _ in range(count):
-        M = random_mixed_graph(n, rng)
-        p_int = poly_interpolated(M)
-        if p_int != poly_recursive(M) or p_int != poly_partition(M):
-            mismatch += 1
-        if not (p_int.degree == n and p_int.coefficient(n) == 1
-                and p_int.coefficient(0) == 0):
-            thm21_bad += 1
-        if coeff_formula_second(M) != p_int.coefficient(n - 1):
-            thm22_bad += 1
-    return mismatch, thm21_bad, thm22_bad
-
-
 class SweepData:
     """Shared state for criteria 1-4: the n=4 exhaustive audit plus the
-    seeded random agreement runs at n=5 and n=6."""
+    seeded random agreement runs at n=5 and n=6, one random stream per
+    size."""
 
-    def __init__(self, seed=DEFAULT_SEED, jobs=1, random_per_size=RANDOM_PER_SIZE):
+    def __init__(self, seed=DEFAULT_SEED, random_per_size=RANDOM_PER_SIZE):
         t0 = time.time()
         self.audit4 = exhaustive_audit(4)
         self.random_mismatch = 0
         self.random_thm21_bad = 0
         self.random_thm22_bad = 0
         self.random_total = 0
-        tasks = []
         for n in (5, 6):
-            per = max(1, random_per_size // max(1, jobs))
-            done = 0
-            chunk = 0
-            while done < random_per_size:
-                count = min(per, random_per_size - done)
-                tasks.append((n, seed * 1000 + n * 100 + chunk, count))
-                done += count
-                chunk += 1
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_agreement_chunk, tasks))
-        else:
-            results = [_agreement_chunk(t) for t in tasks]
-        for m, b1, b2 in results:
-            self.random_mismatch += m
-            self.random_thm21_bad += b1
-            self.random_thm22_bad += b2
-        self.random_total = sum(t[2] for t in tasks)
+            rng = random.Random(seed * 1000 + n * 100)
+            for _ in range(random_per_size):
+                M = random_mixed_graph(n, rng)
+                p_int = poly_interpolated(M)
+                if p_int != poly_recursive(M) or p_int != poly_partition(M):
+                    self.random_mismatch += 1
+                if not (p_int.degree == n and p_int.coefficient(n) == 1
+                        and p_int.coefficient(0) == 0):
+                    self.random_thm21_bad += 1
+                if coeff_formula_second(M) != p_int.coefficient(n - 1):
+                    self.random_thm22_bad += 1
+                self.random_total += 1
         self.elapsed = time.time() - t0
 
 
@@ -118,12 +92,8 @@ def criterion_4(sweep, out_dir=None):
     ok = (not complete_bad and p4_audit.agrees_third
           and p4_audit.formula_third == 2 and flagged)
     if out_dir:
-        path = os.path.join(out_dir, "thm24_disagreements.csv")
-        with open(path, "w") as fh:
-            fh.write("edges,formula_value,true_value\n")
-            for edges, formula, true in dis:
-                enc = ";".join("%d-%d-%s" % e for e in edges)
-                fh.write("%s,%d,%d\n" % (enc, formula, true))
+        write_thm24_disagreements(
+            os.path.join(out_dir, "thm24_disagreements.csv"), dis)
     detail = ("complete-shadow cases all agree; P4 value %d; %d documented "
               "disagreements flagged (2K2 and C4 present: %s)"
               % (p4_audit.formula_third, len(dis), flagged))
@@ -316,7 +286,7 @@ def criterion_12(clouds=None):
     return True, "residuals <= 1e-9, integer deflation exact, conjugates implied"
 
 
-def run_all(seed=DEFAULT_SEED, out_dir=None, jobs=4, emit=print):
+def run_all(seed=DEFAULT_SEED, out_dir=None, emit=print):
     """Execute every criterion; returns list of (criterion id, ok, detail)."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -326,7 +296,7 @@ def run_all(seed=DEFAULT_SEED, out_dir=None, jobs=4, emit=print):
         results.append((num, ok, detail))
         emit("[%s] criterion %2d %s: %s" % ("PASS" if ok else "FAIL", num, name, detail))
 
-    sweep = SweepData(seed=seed, jobs=jobs)
+    sweep = SweepData(seed=seed)
     record(1, "engine triple agreement", *criterion_1(sweep))
     record(2, "theorem 2.1", *criterion_2(sweep))
     record(3, "theorem 2.2", *criterion_3(sweep))

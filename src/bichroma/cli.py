@@ -10,9 +10,10 @@ import sys
 
 from . import acceptance
 from .graphs import GraphError, census
-from .engine import (audit_coefficients, coeff_formula_second,
+from .engine import (TooLarge, audit_coefficients, coeff_formula_second,
                      poly_interpolated, poly_partition, poly_recursive)
-from .enumeration import (TooLarge, exhaustive_audit, records_to_csv, root_cloud)
+from .enumeration import (exhaustive_audit, records_to_csv, root_cloud,
+                          write_thm24_disagreements)
 from .families import FamilySpec, TooSmall, build_family
 from .invariance import admits_invariant_colouring, is_invariant_structural
 from .meg import MegParseError, load_mixed, parse_graph6, write_meg
@@ -35,17 +36,6 @@ _ENGINES = {
 def _default_seed():
     env = os.environ.get("BICHROMA_SEED")
     return int(env) if env else acceptance.DEFAULT_SEED
-
-
-def _positive_int(text):
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
 
 
 def cmd_poly(args):
@@ -89,11 +79,7 @@ def cmd_audit(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "thm24_disagreements_n%d.csv" % args.n)
-        with open(path, "w") as fh:
-            fh.write("edges,formula_value,true_value\n")
-            for edges, formula, true in summary.thm24_disagreements:
-                enc = ";".join("%d-%d-%s" % e for e in edges)
-                fh.write("%s,%d,%d\n" % (enc, formula, true))
+        write_thm24_disagreements(path, summary.thm24_disagreements)
         print("disagreement census written to %s" % path)
     # third-coefficient disagreements are the documented whitelist; any
     # other failure is a regression
@@ -154,7 +140,7 @@ def cmd_family(args):
 
 def cmd_roots(args):
     M = load_mixed(args.file)
-    p = poly_recursive(M)
+    p = poly_partition(M)
     print(display(p))
     rs = find_roots(p, tol=args.tol)
     for r in rs.integer_roots:
@@ -181,7 +167,7 @@ def cmd_cloud(args):
 
 
 def cmd_verify(args):
-    results = acceptance.run_all(seed=args.seed, out_dir=args.out, jobs=args.jobs)
+    results = acceptance.run_all(seed=args.seed, out_dir=args.out)
     failed = [num for num, ok, _ in results if not ok]
     if failed:
         print("FAILED criteria: %s" % ", ".join(map(str, failed)))
@@ -198,7 +184,7 @@ def build_parser():
 
     p = sub.add_parser("poly", help="print the chromatic polynomial of a .meg/.g6 file")
     p.add_argument("file")
-    p.add_argument("--engine", choices=sorted(_ENGINES), default="recursive")
+    p.add_argument("--engine", choices=sorted(_ENGINES), default="partition")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("coeffs", help="census plus coefficient formulas vs truth")
@@ -241,7 +227,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run the full acceptance suite")
     p.add_argument("--out", default="bichroma-verify")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--jobs", type=_positive_int, default=4)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -16,128 +16,93 @@ falling factorial (x)_k of the block count k.
   its leaves by vertex count.  It walks its own recursion tree, not the
   partition search, so its agreement with poly_partition is evidence.
 * poly_interpolated -- oracle: brute-force colouring counts interpolated
-  exactly; the desk-scale ground truth.
+  exactly; the desk-scale ground truth.  One vectorised pass over the
+  colour assignments (see _colouring_counts) also serves count_colourings
+  and chromatic_number; it raises TooLarge beyond 4,000,000 assignments,
+  which admits up to 8 vertices at palette n.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import RED, BLUE, FLEX, ColourClash, census, from_simple
+import numpy as np
+
+from .graphs import (RED, BLUE, FLEX, ColourClash, bichromatic_pairs, census,
+                     from_simple)
 from .polynomial import IntPolynomial, falling_factorial, interpolate
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-# cap on k**n for the vectorized enumeration path
-_VECTOR_LIMIT = 4_000_000
-
-_assignment_cache = {}
+# the brute-force pass refuses more colour assignments than this
+_BRUTE_FORCE_LIMIT = 4_000_000
 
 
-def _assignments(n, k):
-    key = (n, k)
-    arr = _assignment_cache.get(key)
-    if arr is None:
-        grids = _np.meshgrid(*([_np.arange(k, dtype=_np.int16)] * n), indexing="ij")
-        arr = _np.stack(grids, axis=-1).reshape(-1, n)
-        if len(_assignment_cache) > 32:
-            _assignment_cache.clear()
-        _assignment_cache[key] = arr
-    return arr
+class TooLarge(Exception):
+    """A computation would exceed one of its documented size bounds."""
 
 
-def _count_vectorized(M, k):
-    cols = _assignments(M.n, k)
-    ok = _np.ones(len(cols), dtype=bool)
-    reds, blues = [], []
-    for (u, v), kind in M.edges.items():
-        ok &= cols[:, u] != cols[:, v]
-        if kind is RED:
-            reds.append((u, v))
-        elif kind is BLUE:
-            blues.append((u, v))
-    if reds and blues:
-        sub = cols[ok]
-        bad = _np.zeros(len(sub), dtype=bool)
-        red_codes = []
-        for u, v in reds:
-            a, b = sub[:, u], sub[:, v]
-            red_codes.append(_np.minimum(a, b) * k + _np.maximum(a, b))
-        for u, v in blues:
-            a, b = sub[:, u], sub[:, v]
-            code = _np.minimum(a, b) * k + _np.maximum(a, b)
-            for rc in red_codes:
-                bad |= rc == code
-        return int(ok.sum()) - int(bad.sum())
-    return int(ok.sum())
+def _colouring_counts(M, palette):
+    """[c_0, ..., c_palette], where c_k is the number of k-colourings of M.
 
-
-def _count_backtracking(M, k):
+    A colouring is proper on every edge of the shadow, and no unordered
+    colour pair may carry both a Red and a Blue edge.  One vectorised pass
+    enumerates the palette^(n-1) assignments that give vertex 0 colour 0.
+    Both conditions survive any permutation of the colours, so the
+    k-colourings split evenly by the colour of vertex 0, and c_k is k
+    times the valid assignments whose largest colour is below k.  One
+    histogram of each valid assignment's largest colour gives every c_k.
+    """
     n = M.n
-    # edges grouped by higher endpoint so constraints are checked as soon
-    # as both ends are coloured
-    back = [[] for _ in range(n)]
+    size = palette ** (n - 1) if n else 1
+    # the palette bounds the histogram and the returned list too
+    if max(size, palette) > _BRUTE_FORCE_LIMIT:
+        raise TooLarge("brute-force counting is capped at %d colour assignments"
+                       " and colours; %d vertices with %d colours need %d"
+                       " assignments" % (_BRUTE_FORCE_LIMIT, n, palette, size))
+    if n == 0:
+        return [1] * (palette + 1)
+    # grid[v - 1] holds the colour of vertex v in each assignment
+    grid = np.indices((palette,) * (n - 1), dtype=np.min_scalar_type(palette))
+    grid = grid.reshape(n - 1, size)
+
+    def colour(v):
+        return grid[v - 1] if v else 0
+
+    ok = np.ones(size, dtype=bool)
+    red, blue = [], []
     for (u, v), kind in M.edges.items():
-        back[v].append((u, kind))
-    colour = [0] * n
-    pair_kinds = {}
-
-    def place(v):
-        if v == n:
-            return 1
-        total = 0
-        for c in range(k):
-            added = []
-            feasible = True
-            for u, kind in back[v]:
-                cu = colour[u]
-                if cu == c:
-                    feasible = False
-                    break
-                if kind is FLEX:
-                    continue
-                code = (cu, c) if cu < c else (c, cu)
-                seen = pair_kinds.get(code)
-                if seen is None:
-                    pair_kinds[code] = kind
-                    added.append((code, None))
-                elif seen is not kind and seen is not None:
-                    feasible = False
-                    break
-                # same kind again: nothing to record
-            if feasible:
-                colour[v] = c
-                total += place(v + 1)
-            for code, prev in added:
-                if prev is None:
-                    del pair_kinds[code]
-        return total
-
-    return place(0)
+        ok &= colour(u) != colour(v)
+        if kind is RED:
+            red.append((u, v))
+        elif kind is BLUE:
+            blue.append((u, v))
+    grid = grid[:, ok]
+    if red and blue:
+        # colour pair {a, b}, a < b, coded a * palette + b; a Red and a
+        # Blue edge need three vertices, so palette <= 2000 and int32 fits
+        def codes(edges):
+            return np.stack([np.minimum(colour(u), colour(v)).astype(np.int32)
+                             * palette + np.maximum(colour(u), colour(v))
+                             for u, v in edges])
+        red_codes = codes(red)
+        clash = np.zeros(grid.shape[1], dtype=bool)
+        for row in codes(blue):
+            clash |= (red_codes == row).any(axis=0)
+        grid = grid[:, ~clash]
+    largest = grid.max(axis=0, initial=0)
+    below = np.cumsum(np.bincount(largest, minlength=palette)[:palette])
+    return [0] + [k * int(below[k - 1]) for k in range(1, palette + 1)]
 
 
 def count_colourings(M, k):
-    """Number of k-colourings of M by exhaustive enumeration.
-
-    A colouring is proper on every edge of the shadow, and no unordered
-    colour pair may carry both a Red and a Blue edge.
-    """
+    """Number of k-colourings of M by exhaustive enumeration; raises
+    TooLarge beyond 4,000,000 assignments (k^(n-1)) or colours."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if M.n == 0:
-        return 1
-    if k == 0:
-        return 0
-    if _np is not None and k ** M.n <= _VECTOR_LIMIT:
-        return _count_vectorized(M, k)
-    return _count_backtracking(M, k)
+    return _colouring_counts(M, k)[k]
 
 
 def poly_interpolated(M):
     """Ground-truth polynomial: counts at k = 0..n, interpolated exactly."""
-    return interpolate([count_colourings(M, k) for k in range(M.n + 1)])
+    return interpolate(_colouring_counts(M, M.n))
 
 
 def poly_recursive(M):
@@ -231,11 +196,15 @@ def _identify_rows(rows, x, y):
 
 def _falling_factorial_sum(counts):
     """The polynomial sum of counts[k] * (x)_k."""
-    result = IntPolynomial.zero()
+    result = [0] * len(counts)
+    falling = [1]  # coefficients of (x)_k
     for k, c in enumerate(counts):
         if c:
-            result = result + c * falling_factorial(k)
-    return result
+            for i, f in enumerate(falling):
+                result[i] += c * f
+        # (x)_{k+1} = (x)_k * (x - k)
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return IntPolynomial(result)
 
 
 def independent_partitions(n, edges):
@@ -311,8 +280,8 @@ def colouring_polynomials(graph):
         raise ValueError("colouring_polynomials is exact for n <= %d only"
                          % _BATCH_MAX_N)
     edges = sorted(graph.adjacency)
-    masks = _np.arange(1 << len(edges), dtype=_np.int64)
-    counts = _np.zeros((n + 1, len(masks)), dtype=_np.int64)
+    masks = np.arange(1 << len(edges), dtype=np.int64)
+    counts = np.zeros((n + 1, len(masks)), dtype=np.int64)
     for block, k in independent_partitions(n, edges):
         groups = {}
         for i, (u, v) in enumerate(edges):
@@ -326,7 +295,7 @@ def colouring_polynomials(graph):
                 mono = (blue == 0) | (blue == bits)
                 valid = mono if valid is None else valid & mono
         counts[k] += 1 if valid is None else valid
-    factorials = _np.zeros((n + 1, n + 1), dtype=_np.int64)
+    factorials = np.zeros((n + 1, n + 1), dtype=np.int64)
     for k in range(n + 1):
         coeffs = falling_factorial(k).coeffs
         factorials[k, :len(coeffs)] = coeffs
@@ -341,10 +310,8 @@ def chromatic_number(M):
     """
     if M.n == 0:
         return 0
-    for k in range(1, M.n + 1):
-        if count_colourings(M, k) > 0:
-            return k
-    raise AssertionError("no colouring found up to n, which is impossible")
+    counts = _colouring_counts(M, M.n)
+    return next(k for k, c in enumerate(counts) if c)
 
 
 def classical_chromatic(graph):
@@ -357,8 +324,7 @@ def coeff_formula_second(M):
     """Closed form for the coefficient of lambda^(n-1)."""
     if M.n < 1:
         raise ValueError("needs at least one vertex")
-    c = census(M)
-    return -(c.red_count + c.blue_count + c.flex_count + c.ppair_count)
+    return -(len(M.edges) + len(bichromatic_pairs(M)))
 
 
 def coeff_formula_third(M):

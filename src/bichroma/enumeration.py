@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, from_simple,
                      is_connected, shadow)
-from .engine import (audit_coefficients, classical_chromatic,
+from .engine import (TooLarge, audit_coefficients, classical_chromatic,
                      colouring_polynomials, poly_interpolated, poly_partition,
                      poly_recursive)
 from .invariance import (independent_pair_witness, is_invariant_by_polynomial,
@@ -21,10 +21,6 @@ from .polynomial import IntPolynomial
 from .roots import find_roots
 
 MAX_ENUM_N = 7
-
-
-class TooLarge(Exception):
-    pass
 
 
 def _pairs(n):
@@ -276,6 +272,16 @@ class AuditSummary:
                 and self.thm22_agreements == self.mixed_instances
                 and self.thm32_equivalences == self.colouring_instances
                 and self.thm33_equivalences == self.colouring_instances)
+
+
+def write_thm24_disagreements(path, disagreements):
+    """Write AuditSummary.thm24_disagreements to path as CSV rows
+    edges,formula_value,true_value, each edge as u-v-kind joined by ';'."""
+    with open(path, "w") as fh:
+        fh.write("edges,formula_value,true_value\n")
+        for edges, formula, true in disagreements:
+            enc = ";".join("%d-%d-%s" % e for e in edges)
+            fh.write("%s,%d,%d\n" % (enc, formula, true))
 
 
 def exhaustive_audit(n, include_mixed=None, include_colourings=True):

@@ -9,16 +9,11 @@ and an induced bichromatic 2K2.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, from_simple,
-                     join_factors, shadow)
+from .graphs import RED, BLUE, FLEX, MixedGraph, join_factors, shadow
 from .engine import classical_chromatic, poly_partition
 
 
 class HasFlexibleEdges(ValueError):
-    pass
-
-
-class TooLarge(Exception):
     pass
 
 
@@ -95,8 +90,6 @@ def independent_pair_witness(G):
     pair of sets exists, a minimal one does.
     """
     _require_pure(G)
-    if G.n > 16:
-        raise TooLarge("independent pair search is capped at 16 vertices")
     reds = sorted(p for p, k in G.edges.items() if k is RED)
     blues = sorted(p for p, k in G.edges.items() if k is BLUE)
     candidates = []

@@ -5,8 +5,7 @@ coefficients in ascending degree order, trimmed of trailing zeros.  The
 zero polynomial has an empty coefficient tuple and degree -1.
 """
 
-from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd
 
 
 class NonIntegerCoefficient(Exception):
@@ -122,8 +121,10 @@ def falling_factorial(n):
 def interpolate(values):
     """Unique integer polynomial through (i, values[i]) for i = 0..d.
 
-    Newton forward differences, kept exact with Fraction; raises
-    NonIntegerCoefficient if the result is not an integer polynomial.
+    Newton forward differences in integers: with Delta^j the j-th forward
+    difference at 0, d! p(x) = sum_j Delta^j (d!/j!) (x)_j, built with
+    its own falling-factorial loop and divided exactly by d! at the end.
+    Raises NonIntegerCoefficient if a coefficient of p is not an integer.
     """
     values = list(values)
     if not values:
@@ -133,23 +134,24 @@ def interpolate(values):
     while len(row) > 1:
         row = [b - a for a, b in zip(row, row[1:])]
         diffs.append(row[0])
-    # p(x) = sum_j diffs[j] * C(x, j)
-    result = [Fraction(0)] * len(diffs)
-    binom = [Fraction(1)]  # C(x, 0)
+    scale = factorial(len(diffs) - 1)
+    scaled = [0] * len(diffs)  # d! p(x), ascending
+    falling = [1]  # coefficients of (x)_j
+    weight = scale  # d! / j!
     for j, d in enumerate(diffs):
-        for k, c in enumerate(binom):
-            result[k] += d * c
-        # C(x, j+1) = C(x, j) * (x - j) / (j + 1)
-        nxt = [Fraction(0)] * (len(binom) + 1)
-        for k, c in enumerate(binom):
-            nxt[k + 1] += c
-            nxt[k] -= j * c
-        binom = [c / (j + 1) for c in nxt]
+        for k, c in enumerate(falling):
+            scaled[k] += d * weight * c
+        # (x)_{j+1} = (x)_j * (x - j)
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
+        weight //= j + 1
     out = []
-    for c in result:
-        if c.denominator != 1:
-            raise NonIntegerCoefficient("coefficient %s is not an integer" % c)
-        out.append(int(c))
+    for c in scaled:
+        q, r = divmod(c, scale)
+        if r:
+            g = gcd(c, scale)
+            raise NonIntegerCoefficient("coefficient %d/%d is not an integer"
+                                        % (c // g, scale // g))
+        out.append(q)
     return IntPolynomial(out)
 
 

@@ -7,7 +7,6 @@ the acceptance module: root residuals at 1e-9, limit-line distance checks
 at 0.15, wall-clock budgets per criterion.
 """
 
-import multiprocessing
 import os
 import sys
 
@@ -15,7 +14,6 @@ import pytest
 
 from bichroma import acceptance
 
-JOBS = min(4, multiprocessing.cpu_count() or 1)
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "acceptance_out")
 
 
@@ -34,7 +32,7 @@ def report(capsys):
 
 @pytest.fixture(scope="session")
 def sweep():
-    return acceptance.SweepData(seed=acceptance.DEFAULT_SEED, jobs=JOBS)
+    return acceptance.SweepData(seed=acceptance.DEFAULT_SEED)
 
 
 @pytest.fixture(scope="session")

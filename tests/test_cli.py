@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -128,9 +129,19 @@ def test_family_without_closed_form(capsys):
         "mono_union has no closed form; graph has 4 vertices and 2 edges")
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_rejects_nonpositive_jobs(jobs, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+def test_poly_interpolate_refuses_past_its_bound(tmp_path, capsys):
+    # 9 vertices at palette 9 would need 9^8 > 4,000,000 assignments
+    path = tmp_path / "edgeless9.meg"
+    path.write_text("meg 9\n")
+    tracemalloc.start()
+    try:
+        code = main(["poly", str(path), "--engine", "interpolate"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert peak < 2 ** 20  # refused before the assignment grid exists

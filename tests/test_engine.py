@@ -1,6 +1,8 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+
+import pytest
 
 from bichroma.graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph,
                              from_simple, shadow)
@@ -9,8 +11,8 @@ from bichroma.engine import (audit_coefficients, chromatic_number,
                              coeff_formula_second, coeff_formula_third,
                              colouring_polynomials, count_colourings,
                              independent_partitions, poly_interpolated,
-                             poly_partition, poly_recursive)
-from bichroma.engine import _count_backtracking, _count_vectorized, _split
+                             poly_partition, poly_recursive, TooLarge)
+from bichroma.engine import _split
 from bichroma.enumeration import (all_graphs, all_labelled_mixed,
                                   colourings_of, random_mixed_graph)
 from bichroma.polynomial import IntPolynomial, evaluate_int, falling_factorial
@@ -35,12 +37,39 @@ def test_count_matches_polynomial():
         assert count_colourings(M, k) == evaluate_int(p, k)
 
 
-def test_vectorized_equals_backtracking():
+def colourings_by_definition(M, k):
+    """Count the k-colourings of M literally: every assignment of k colours,
+    proper on the shadow, with no colour pair on both a Red and a Blue edge."""
+    total = 0
+    for colour in product(range(k), repeat=M.n):
+        pair_kind = {}
+        for (u, v), kind in M.edges.items():
+            if colour[u] == colour[v]:
+                break
+            if kind is not FLEX:
+                pair = frozenset((colour[u], colour[v]))
+                if pair_kind.setdefault(pair, kind) is not kind:
+                    break
+        else:
+            total += 1
+    return total
+
+
+def test_count_colourings_matches_definition():
     rng = random.Random(3)
-    for _ in range(30):
-        M = random_mixed_graph(4, rng)
-        for k in range(5):
-            assert _count_vectorized(M, k) == _count_backtracking(M, k)
+    for n in range(5):
+        for _ in range(12):
+            M = random_mixed_graph(n, rng)
+            for k in range(6):
+                assert count_colourings(M, k) == colourings_by_definition(M, k)
+    assert count_colourings(MixedGraph(0, []), 0) == 1
+    assert count_colourings(two_k2(), 0) == 0
+    with pytest.raises(ValueError):
+        count_colourings(two_k2(), -1)
+    # the bound refuses a palette past 4,000,000 before building its counts
+    for n in (0, 1):
+        with pytest.raises(TooLarge):
+            count_colourings(MixedGraph(n, []), 4_000_001)
 
 
 def test_empty_graph():

@@ -78,6 +78,14 @@ def test_witness_separates_counts():
     assert witness is not None
 
 
+def test_witness_beyond_sixteen_vertices():
+    # the search is polynomial in the edge count, so no vertex cap applies
+    edges = [(0, 1, RED), (1, 2, BLUE)]
+    edges += [(v, v + 1, RED) for v in range(3, 16)]
+    M = MixedGraph(17, edges)
+    assert independent_pair_witness(M) == (frozenset({0, 2}), frozenset({1}))
+
+
 def test_admits_refuses_c4_and_p5():
     c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
