@@ -253,36 +253,22 @@ def criterion_11():
 
 def criterion_12(clouds=None):
     polys = [cor42_poly(4), thm45_poly(7), IntPolynomial((-55, 42, -11, 1))]
-    records = []
+    pairs = [(p, find_roots(p)) for p in polys]
     if clouds:
         mono, bi = clouds
-        records = mono + bi[:500]
-    for p in polys:
-        rs = find_roots(p)
+        pairs += [(rec.polynomial, rec.roots) for rec in mono + bi[:500]]
+    for p, rs in pairs:
         for r in rs.integer_roots:
             if evaluate_int(p, r) != 0:
-                return False, "inexact integer root %d" % r
+                return False, "inexact integer root %d of %s" % (r, p)
         if rs.total_count() != p.degree:
             return False, "root count mismatch for %s" % p
         for _, res, _ in rs.real_roots:
             if res > 1e-9:
-                return False, "real residual %.3g too large" % res
+                return False, "real residual %.3g too large for %s" % (res, p)
         for _, _, res, _ in rs.complex_roots:
             if res > 1e-9:
-                return False, "complex residual %.3g too large" % res
-    for rec in records:
-        rs = rec.roots
-        if rs.total_count() != rec.polynomial.degree:
-            return False, "cloud record root count mismatch"
-        for r in rs.integer_roots:
-            if evaluate_int(rec.polynomial, r) != 0:
-                return False, "cloud inexact integer root"
-        for entry in rs.real_roots:
-            if entry[1] > 1e-9:
-                return False, "cloud real residual too large"
-        for entry in rs.complex_roots:
-            if entry[2] > 1e-9:
-                return False, "cloud complex residual too large"
+                return False, "complex residual %.3g too large for %s" % (res, p)
     return True, "residuals <= 1e-9, integer deflation exact, conjugates implied"
 
 

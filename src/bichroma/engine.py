@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphs import (RED, BLUE, FLEX, ColourClash, bichromatic_pairs, census,
                      from_simple)
-from .polynomial import IntPolynomial, falling_factorial, interpolate
+from .polynomial import falling_factorial, falling_factorial_sum, interpolate
 
 # the brute-force pass refuses more colour assignments than this
 _BRUTE_FORCE_LIMIT = 4_000_000
@@ -129,7 +129,7 @@ def poly_recursive(M):
             blue[v] |= 1 << u
     counts = [0] * (n + 1)
     _split(nbrs, red, blue, counts)
-    return _falling_factorial_sum(counts)
+    return falling_factorial_sum(counts)
 
 
 def _split(nbrs, red, blue, counts):
@@ -194,19 +194,6 @@ def _identify_rows(rows, x, y):
     return out
 
 
-def _falling_factorial_sum(counts):
-    """The polynomial sum of counts[k] * (x)_k."""
-    result = [0] * len(counts)
-    falling = [1]  # coefficients of (x)_k
-    for k, c in enumerate(counts):
-        if c:
-            for i, f in enumerate(falling):
-                result[i] += c * f
-        # (x)_{k+1} = (x)_k * (x - k)
-        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
-    return IntPolynomial(result)
-
-
 def independent_partitions(n, edges):
     """Every partition of 0..n-1 into blocks independent in the plain
     graph with the given edges, as (block, k): block[v] is the index of
@@ -256,7 +243,7 @@ def poly_partition(M):
                 break
         else:
             counts[k] += 1
-    return _falling_factorial_sum(counts)
+    return falling_factorial_sum(counts)
 
 
 _BATCH_MAX_N = 13  # Bell(n) * n! < 2**63

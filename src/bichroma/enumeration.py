@@ -10,13 +10,11 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph, from_simple,
-                     is_connected, shadow)
+from .graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph, is_connected
 from .engine import (TooLarge, audit_coefficients, classical_chromatic,
                      colouring_polynomials, poly_interpolated, poly_partition,
                      poly_recursive)
-from .invariance import (independent_pair_witness, is_invariant_by_polynomial,
-                         is_invariant_structural)
+from .invariance import independent_pair_witness, is_invariant_structural
 from .polynomial import IntPolynomial
 from .roots import find_roots
 
@@ -284,7 +282,7 @@ def write_thm24_disagreements(path, disagreements):
             fh.write("%s,%d,%d\n" % (enc, formula, true))
 
 
-def exhaustive_audit(n, include_mixed=None, include_colourings=True):
+def exhaustive_audit(n, include_mixed=None):
     """Engine agreement and theorem audits over the full universe.
 
     Labelled mixed exhaustion runs for n <= 4, the 2-edge-colouring
@@ -323,16 +321,15 @@ def exhaustive_audit(n, include_mixed=None, include_colourings=True):
             else:
                 summary.thm22_agreements += 1
                 summary.thm24_agreements += 1
-    if include_colourings:
-        for graph in all_graphs(n):
-            gamma_poly = classical_chromatic(graph)
-            for M in colourings_of(graph, dedup=True):
-                summary.colouring_instances += 1
-                structural = is_invariant_structural(M).invariant
-                by_poly = poly_partition(M) == gamma_poly
-                if structural == by_poly:
-                    summary.thm32_equivalences += 1
-                witness = independent_pair_witness(M)
-                if (witness is None) == structural:
-                    summary.thm33_equivalences += 1
+    for graph in all_graphs(n):
+        gamma_poly = classical_chromatic(graph)
+        for M in colourings_of(graph, dedup=True):
+            summary.colouring_instances += 1
+            structural = is_invariant_structural(M).invariant
+            by_poly = poly_partition(M) == gamma_poly
+            if structural == by_poly:
+                summary.thm32_equivalences += 1
+            witness = independent_pair_witness(M)
+            if (witness is None) == structural:
+                summary.thm33_equivalences += 1
     return summary

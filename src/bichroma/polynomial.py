@@ -110,12 +110,22 @@ class IntPolynomial:
         return display(self)
 
 
+def falling_factorial_sum(counts):
+    """The polynomial sum of counts[k] * (x)_k."""
+    result = [0] * len(counts)
+    falling = [1]  # coefficients of (x)_k
+    for k, c in enumerate(counts):
+        if c:
+            for i, f in enumerate(falling):
+                result[i] += c * f
+        # (x)_{k+1} = (x)_k * (x - k)
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return IntPolynomial(result)
+
+
 def falling_factorial(n):
     """x(x-1)...(x-n+1); the constant 1 when n is 0."""
-    p = IntPolynomial.one()
-    for i in range(n):
-        p = p * IntPolynomial((-i, 1))
-    return p
+    return falling_factorial_sum([0] * n + [1])
 
 
 def interpolate(values):
@@ -123,7 +133,7 @@ def interpolate(values):
 
     Newton forward differences in integers: with Delta^j the j-th forward
     difference at 0, d! p(x) = sum_j Delta^j (d!/j!) (x)_j, built with
-    its own falling-factorial loop and divided exactly by d! at the end.
+    falling_factorial_sum and divided exactly by d! at the end.
     Raises NonIntegerCoefficient if a coefficient of p is not an integer.
     """
     values = list(values)
@@ -135,17 +145,10 @@ def interpolate(values):
         row = [b - a for a, b in zip(row, row[1:])]
         diffs.append(row[0])
     scale = factorial(len(diffs) - 1)
-    scaled = [0] * len(diffs)  # d! p(x), ascending
-    falling = [1]  # coefficients of (x)_j
-    weight = scale  # d! / j!
-    for j, d in enumerate(diffs):
-        for k, c in enumerate(falling):
-            scaled[k] += d * weight * c
-        # (x)_{j+1} = (x)_j * (x - j)
-        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
-        weight //= j + 1
+    scaled = falling_factorial_sum(
+        [d * (scale // factorial(j)) for j, d in enumerate(diffs)])
     out = []
-    for c in scaled:
+    for c in scaled.coeffs:
         q, r = divmod(c, scale)
         if r:
             g = gcd(c, scale)

@@ -1,32 +1,35 @@
 """Root location for exact integer polynomials.
 
-Integer roots are split off exactly (zero roots, then a divisor scan of
-the trailing coefficient, then exact verification of any numerically
-integer-looking root).  The remaining factor goes to one simultaneous
-Aberth-Ehrlich iteration.  It runs over Python complex numbers first;
-when an iterate misses the residual tolerance there, or two iterates
-collapse within the cluster tolerance, the same iteration runs again over
-mpmath numbers, seeded with the double iterates, at a working precision
-set by the degree and the coefficient size.
+Integer roots are split off exactly, with no numerics.  Zero roots come
+first.  Every other integer root divides the trailing coefficient a0
+(rational root theorem) and lies inside the root radius R, the smaller
+of Cauchy's and Fujiwara's bounds.  So the divisors c <= R of |a0|,
+found by trial division up to min(R, isqrt|a0|), are a complete list of
+candidates; each is tested and deflated with exact Horner.  A polynomial
+that would need more than MAX_SCAN trial divisions raises ValueError.
+The remaining factor, which has no integer root, goes to one
+simultaneous Aberth-Ehrlich iteration.  It runs over Python complex
+numbers first; when an iterate misses the residual tolerance there, or
+two iterates collapse within the cluster tolerance, the same iteration
+runs again over mpmath numbers, seeded with the double iterates, at a
+working precision set by the degree and the coefficient size.
 """
 
 import cmath
 from dataclasses import dataclass, field
+from math import isqrt
 
 import mpmath as mp
 
 DEFAULT_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 MAX_DEGREE = 64
-_DIVISOR_SCAN_LIMIT = 10 ** 12
+MAX_SCAN = 10 ** 6  # trial divisions of the integer-root step
 _ABERTH_CAP = 500
 
 
 class ConvergenceFailure(Exception):
-    def __init__(self, message, best=None, residual=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
+    """The Aberth iteration missed the residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,6 @@ def _deflate_int(coeffs, r):
     return out
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _poly_int(coeffs, r):
     acc = 0
     for c in reversed(coeffs):
@@ -96,31 +86,53 @@ def _poly_int(coeffs, r):
 
 
 def _extract_integer_roots(coeffs):
+    """(sorted integer roots, the factor left after deflating them).
+
+    Every nonzero integer root divides a0 and lies inside the root
+    radius, so the divisors c <= R of |a0| are the complete candidate
+    list; deflating by c != 0 keeps a0 nonzero and its divisors among
+    the candidates.
+    """
     roots = []
     while len(coeffs) > 1 and coeffs[0] == 0:
         roots.append(0)
         coeffs = coeffs[1:]
-    if len(coeffs) > 1 and abs(coeffs[0]) <= _DIVISOR_SCAN_LIMIT:
-        for d in _divisors(coeffs[0]):
-            for r in (d, -d):
-                while len(coeffs) > 1 and _poly_int(coeffs, r) == 0:
-                    roots.append(r)
-                    coeffs = _deflate_int(coeffs, r)
-                if len(coeffs) > 1 and coeffs[0] == 0:
-                    # fresh zero roots exposed by deflation
-                    while len(coeffs) > 1 and coeffs[0] == 0:
-                        roots.append(0)
-                        coeffs = coeffs[1:]
+    if len(coeffs) == 1:
+        return roots, coeffs
+    a0 = abs(coeffs[0])
+    bound = int(_root_radius(coeffs)) + 1
+    steps = min(bound, isqrt(a0))
+    if steps > MAX_SCAN:
+        raise ValueError("integer-root search needs %d trial divisions,"
+                         " above the bound of %d" % (steps, MAX_SCAN))
+    small, large = [], []
+    for d in range(1, steps + 1):
+        if a0 % d == 0:
+            small.append(d)
+            if d < a0 // d <= bound:
+                large.append(a0 // d)
+    for c in small + large[::-1]:
+        for r in (c, -c):
+            while len(coeffs) > 1 and _poly_int(coeffs, r) == 0:
+                roots.append(r)
+                coeffs = _deflate_int(coeffs, r)
     return sorted(roots), coeffs
 
 
-def _initial_circle(coeffs):
+def _root_radius(coeffs):
+    """A bound on the moduli of the roots: the smaller of Cauchy's and
+    Fujiwara's, in floats."""
     d = len(coeffs) - 1
     lead = abs(coeffs[-1])
     cauchy = 1 + max(abs(c) for c in coeffs) / lead
     fuji = 2 * max((abs(coeffs[i]) / lead) ** (1.0 / (d - i))
                    for i in range(d)) if d else 1.0
-    radius = min(cauchy, fuji)
+    return min(cauchy, fuji)
+
+
+def _initial_circle(coeffs):
+    d = len(coeffs) - 1
+    radius = _root_radius(coeffs)
     return [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / d)
             for k in range(d)]
 
@@ -183,44 +195,26 @@ def _collapsed(approx):
     return False
 
 
-def _exact_hit(coeffs, approx):
-    """An integer within the cluster tolerance of an iterate that is an
-    exact root of coeffs, or None."""
-    for z in approx:
-        cand = round(z.real)
-        if (abs(z.imag) < CLUSTER_TOL and abs(z.real - cand) < CLUSTER_TOL
-                and _poly_int(coeffs, cand) == 0):
-            return cand
-    return None
-
-
 def find_roots(p, tol=DEFAULT_TOL):
     """All roots of a nonzero integer polynomial of degree <= 64.
 
-    Integer roots are exact (residual 0); the rest carry residuals of the
-    monic-scaled deflated polynomial, required to be at most tol.
+    Integer roots are exact (residual 0) and complete: every divisor of
+    the trailing coefficient inside the root radius is tested by exact
+    Horner.  A polynomial whose search would take more than MAX_SCAN
+    (10^6) trial divisions raises ValueError; that needs both a root
+    radius and a square root of |a0| above 10^6.  The rest carry
+    residuals of the monic-scaled deflated polynomial, required to be at
+    most tol.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no root set")
     if p.degree > MAX_DEGREE:
         raise ValueError("degree %d exceeds cap %d" % (p.degree, MAX_DEGREE))
     int_roots, coeffs = _extract_integer_roots(list(p.coeffs))
-
-    # a numeric root that lands on an exact integer (possible when the
-    # trailing coefficient was too big to divisor-scan) is deflated
-    # exactly and the remainder re-solved
-    while len(coeffs) > 1:
-        cs = _monic(coeffs, float)
-        z = _aberth(cs, _initial_circle(cs), 1e-14)
-        hit = _exact_hit(coeffs, z)
-        if hit is None:
-            break
-        int_roots.append(hit)
-        coeffs = _deflate_int(coeffs, hit)
-    int_roots.sort()
-    if len(coeffs) <= 1:
+    if len(coeffs) == 1:
         return _assemble(p.degree, int_roots, [])
-
+    cs = _monic(coeffs, float)
+    z = _aberth(cs, _initial_circle(cs), 1e-14)
     residuals = _residuals(cs, z)
     if not all(r <= tol for r in residuals) or _collapsed(z):
         # on ill-conditioned input the double pass misses the tolerance or
@@ -239,8 +233,7 @@ def find_roots(p, tol=DEFAULT_TOL):
     worst = max(range(len(z)), key=residuals.__getitem__)
     if not residuals[worst] <= tol:
         raise ConvergenceFailure(
-            "residual %.3g above tolerance %.3g" % (residuals[worst], tol),
-            best=z[worst], residual=residuals[worst])
+            "residual %.3g above tolerance %.3g" % (residuals[worst], tol))
     return _assemble(p.degree, int_roots, list(zip(z, residuals)))
 
 

@@ -52,6 +52,11 @@ def test_family(capsys):
     assert "integer roots: -2 0 1 2 3" in out
 
 
+def test_family_thm45_integer_roots(capsys):
+    assert main(["family", "thm45", "30"]) == 0
+    assert "integer roots: 0 1 2 3\n" in capsys.readouterr().out
+
+
 def test_family_too_small(capsys):
     assert main(["family", "thm45", "3"]) == 1
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from bichroma.graphs import RED, BLUE, SimpleGraph, is_connected
+from bichroma.graphs import SimpleGraph
 from bichroma.engine import classical_chromatic, poly_recursive
 from bichroma.enumeration import (CSV_HEADER, EnumerationRecord, TooLarge,
                                   all_graphs, all_labelled_mixed,

@@ -1,10 +1,13 @@
 import math
 import statistics
 
-from bichroma.families import cor42_poly, limit_curve_experiment, thm45_bracket
+import pytest
+
+from bichroma.families import (cor42_poly, limit_curve_experiment,
+                               thm45_bracket, thm45_poly)
 from bichroma.polynomial import (IntPolynomial, evaluate_complex, evaluate_int,
                                  falling_factorial)
-from bichroma.roots import RootSet, find_roots
+from bichroma.roots import find_roots
 
 
 def test_all_integer_roots_exact():
@@ -128,3 +131,24 @@ def test_zero_roots_stripped_first():
     p = IntPolynomial((0, 0, 0, -1, 1))  # x^3 (x - 1)
     rs = find_roots(p)
     assert rs.integer_roots == (0, 0, 0, 1)
+
+
+def test_integer_roots_past_a_large_trailing_coefficient():
+    # thm45_poly(30) = (x)_4 * thm45_bracket(30); once the zero root is
+    # stripped, |a0| is about 7e18
+    assert find_roots(thm45_poly(30)).integer_roots == (0, 1, 2, 3)
+
+
+def test_high_multiplicity_integer_roots_exact():
+    p = (IntPolynomial((-3, 1)) ** 4 * IntPolynomial((5, 1)) ** 3
+         * IntPolynomial((-7, 1)) ** 20)
+    rs = find_roots(p)
+    assert rs.integer_roots == (-5,) * 3 + (3,) * 4 + (7,) * 20
+    assert rs.real_roots == () and rs.complex_roots == ()
+
+
+def test_integer_search_refuses_past_its_bound():
+    # root radius and isqrt|a0| both 10^15: the search would need more
+    # than 10^6 trial divisions
+    with pytest.raises(ValueError, match="bound of 1000000"):
+        find_roots(IntPolynomial((-10 ** 30, 0, 1)))
