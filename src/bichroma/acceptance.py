@@ -1,20 +1,20 @@
-"""Acceptance suite: one callable per criterion, shared by the test
-module and the `bichroma verify` command.
+"""Acceptance suite: one callable per criterion, run in order by
+run_all, which `bichroma verify` and tests/test_acceptance.py both call.
 
-Each criterion returns (ok, detail).  run_all executes them in order,
-prints one line per criterion, and writes the third-coefficient
-disagreement census as a report artifact.
+Each criterion returns (ok, detail).  run_all emits one line per
+criterion, named from CRITERIA and formatted by format_line, and writes
+the report artifacts when given an output directory.
 """
 
 import os
 import random
 import time
 
-from .graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph, shadow
-from .engine import (audit_coefficients, coeff_formula_second,
-                     poly_interpolated, poly_partition, poly_recursive)
-from .enumeration import (exhaustive_audit, connected_graphs, random_mixed_graph,
-                          root_cloud, write_thm24_disagreements)
+from .graphs import RED, BLUE, FLEX, MixedGraph, SimpleGraph
+from .engine import audit_coefficients, poly_interpolated, poly_recursive
+from .enumeration import (AuditSummary, exhaustive_audit, connected_graphs,
+                          random_mixed_graph, records_to_csv, root_cloud,
+                          write_thm24_disagreements)
 from .families import (cor42_graph, cor42_poly, limit_curve_experiment,
                        limit_curve_rows, shifted_join_graph, poly_shifted_join,
                        thm45_bracket, thm45_graph, thm45_poly)
@@ -26,64 +26,73 @@ from .roots import find_roots
 DEFAULT_SEED = 20240601
 RANDOM_PER_SIZE = 10_000
 
+CRITERIA = {
+    1: "engine triple agreement",
+    2: "theorem 2.1",
+    3: "theorem 2.2",
+    4: "theorem 2.4 audit",
+    5: "corollary 4.2",
+    6: "theorem 4.5",
+    7: "shift formula",
+    8: "invariance equivalences",
+    9: "synthesis",
+    10: "figure reproduction",
+    11: "limit curve",
+    12: "root numerics",
+}
+
+
+def format_line(num, ok, detail):
+    """The report line of one criterion result."""
+    return "[%s] criterion %2d %s: %s" % ("PASS" if ok else "FAIL", num,
+                                          CRITERIA[num], detail)
+
 
 class SweepData:
-    """Shared state for criteria 1-4: the n=4 exhaustive audit plus the
-    seeded random agreement runs at n=5 and n=6, one random stream per
-    size."""
+    """Shared state for criteria 1-4 and 8: exhaustive_audit(n) for
+    n = 1..5, plus one AuditSummary of the seeded random mixed graphs at
+    n=5 and n=6, one random stream per size."""
 
-    def __init__(self, seed=DEFAULT_SEED, random_per_size=RANDOM_PER_SIZE):
+    def __init__(self, seed=DEFAULT_SEED):
         t0 = time.time()
-        self.audit4 = exhaustive_audit(4)
-        self.random_mismatch = 0
-        self.random_thm21_bad = 0
-        self.random_thm22_bad = 0
-        self.random_total = 0
+        self.exhaustive = {n: exhaustive_audit(n) for n in range(1, 6)}
+        self.random = AuditSummary()
         for n in (5, 6):
             rng = random.Random(seed * 1000 + n * 100)
-            for _ in range(random_per_size):
-                M = random_mixed_graph(n, rng)
-                p_int = poly_interpolated(M)
-                if p_int != poly_recursive(M) or p_int != poly_partition(M):
-                    self.random_mismatch += 1
-                if not (p_int.degree == n and p_int.coefficient(n) == 1
-                        and p_int.coefficient(0) == 0):
-                    self.random_thm21_bad += 1
-                if coeff_formula_second(M) != p_int.coefficient(n - 1):
-                    self.random_thm22_bad += 1
-                self.random_total += 1
+            for _ in range(RANDOM_PER_SIZE):
+                self.random.add_mixed(random_mixed_graph(n, rng))
         self.elapsed = time.time() - t0
+
+    def all_mixed(self, field):
+        """True when field counts every instance of both mixed sweeps."""
+        return all(getattr(s, field) == s.mixed_instances
+                   for s in (self.exhaustive[4], self.random))
 
 
 def criterion_1(sweep):
-    ok = (sweep.audit4.engine_agreements == sweep.audit4.mixed_instances == 4096
-          and sweep.random_mismatch == 0)
-    detail = ("4096/4096 exhaustive n=4 agree; %d random (n=5,6) with %d mismatches;"
-              " %.1fs" % (sweep.random_total, sweep.random_mismatch, sweep.elapsed))
+    audit4, rnd = sweep.exhaustive[4], sweep.random
+    ok = audit4.mixed_instances == 4096 and sweep.all_mixed("engine_agreements")
+    detail = ("%d/4096 exhaustive n=4 agree; %d random (n=5,6) with %d mismatches;"
+              " %.1fs" % (audit4.engine_agreements, rnd.mixed_instances,
+                          rnd.mixed_instances - rnd.engine_agreements, sweep.elapsed))
     return ok, detail
 
 
 def criterion_2(sweep):
-    ok = (sweep.audit4.thm21_ok == sweep.audit4.mixed_instances
-          and sweep.random_thm21_bad == 0)
-    return ok, "degree/monic/zero-constant on all criterion-1 instances"
+    return (sweep.all_mixed("thm21_ok"),
+            "degree/monic/zero-constant on all criterion-1 instances")
 
 
 def criterion_3(sweep):
-    ok = (sweep.audit4.thm22_agreements == sweep.audit4.mixed_instances
-          and sweep.random_thm22_bad == 0)
-    return ok, "second-coefficient formula exact on all criterion-1 instances"
+    return (sweep.all_mixed("thm22_agreements"),
+            "second-coefficient formula exact on all criterion-1 instances")
 
 
 def criterion_4(sweep, out_dir=None):
-    dis = sweep.audit4.thm24_disagreements
-    # no disagreement may have a complete shadow (the proof's base case)
-    complete_bad = []
-    for edges, formula, true in dis:
-        M = MixedGraph(4, edges)
-        sh = shadow(M)
-        if sh.edge_count() == 6:
-            complete_bad.append(edges)
+    dis = sweep.exhaustive[4].thm24_disagreements
+    # no disagreement may have a complete shadow (the proof's base case);
+    # on 4 vertices the shadow is complete exactly when it has 6 edges
+    complete_bad = [edges for edges, _, _ in dis if len(edges) == 6]
     p4 = MixedGraph(4, [(0, 1, RED), (1, 2, FLEX), (2, 3, BLUE)])
     p4_audit = audit_coefficients(p4)
     twok2 = (((0, 1, "R"), (2, 3, "B")), 0, -1)
@@ -95,8 +104,10 @@ def criterion_4(sweep, out_dir=None):
         write_thm24_disagreements(
             os.path.join(out_dir, "thm24_disagreements.csv"), dis)
     detail = ("complete-shadow cases all agree; P4 value %d; %d documented "
-              "disagreements flagged (2K2 and C4 present: %s)"
-              % (p4_audit.formula_third, len(dis), flagged))
+              "disagreements flagged (2K2 and C4 present: %s); %d of %d random "
+              "(n=5,6) disagree" % (p4_audit.formula_third, len(dis), flagged,
+                                    len(sweep.random.thm24_disagreements),
+                                    sweep.random.mixed_instances))
     return ok, detail
 
 
@@ -154,16 +165,16 @@ def _random_side(size, rng):
             return g
 
 
-def criterion_8():
-    t0 = time.time()
-    for n in range(1, 6):
-        s = exhaustive_audit(n, include_mixed=False)
+def criterion_8(sweep):
+    audits = sweep.exhaustive
+    for n, s in audits.items():
         if s.thm32_equivalences != s.colouring_instances:
             return False, "Thm 3.2 equivalence broken at n=%d" % n
         if s.thm33_equivalences != s.colouring_instances:
             return False, "Thm 3.3 equivalence broken at n=%d" % n
-    return True, "all 2-edge-colourings, n<=5, both equivalences 100%%; %.1fs" % (
-        time.time() - t0)
+    return True, ("all %d 2-edge-colourings up to symmetry, n<=5, both "
+                  "equivalences 100%%" % sum(s.colouring_instances
+                                               for s in audits.values()))
 
 
 def criterion_9(seed=DEFAULT_SEED):
@@ -278,26 +289,25 @@ def run_all(seed=DEFAULT_SEED, out_dir=None, emit=print):
         os.makedirs(out_dir, exist_ok=True)
     results = []
 
-    def record(num, name, ok, detail):
+    def record(num, ok, detail):
         results.append((num, ok, detail))
-        emit("[%s] criterion %2d %s: %s" % ("PASS" if ok else "FAIL", num, name, detail))
+        emit(format_line(num, ok, detail))
 
     sweep = SweepData(seed=seed)
-    record(1, "engine triple agreement", *criterion_1(sweep))
-    record(2, "theorem 2.1", *criterion_2(sweep))
-    record(3, "theorem 2.2", *criterion_3(sweep))
-    record(4, "theorem 2.4 audit", *criterion_4(sweep, out_dir=out_dir))
-    record(5, "corollary 4.2", *criterion_5())
-    record(6, "theorem 4.5", *criterion_6())
-    record(7, "shift formula", *criterion_7(seed=seed))
-    record(8, "invariance equivalences", *criterion_8())
-    record(9, "synthesis", *criterion_9(seed=seed))
+    record(1, *criterion_1(sweep))
+    record(2, *criterion_2(sweep))
+    record(3, *criterion_3(sweep))
+    record(4, *criterion_4(sweep, out_dir=out_dir))
+    record(5, *criterion_5())
+    record(6, *criterion_6())
+    record(7, *criterion_7(seed=seed))
+    record(8, *criterion_8(sweep))
+    record(9, *criterion_9(seed=seed))
     ok10, detail10, clouds = criterion_10(out_dir=out_dir)
-    record(10, "figure reproduction", ok10, detail10)
-    record(11, "limit curve", *criterion_11())
-    record(12, "root numerics", *criterion_12(clouds=clouds))
+    record(10, ok10, detail10)
+    record(11, *criterion_11())
+    record(12, *criterion_12(clouds=clouds))
     if out_dir and clouds:
-        from .enumeration import records_to_csv
         mono, bi = clouds
         with open(os.path.join(out_dir, "cloud_n6_monochromatic.csv"), "w") as fh:
             fh.write(records_to_csv(mono))

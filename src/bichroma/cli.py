@@ -15,7 +15,8 @@ from .engine import (TooLarge, audit_coefficients, coeff_formula_second,
 from .enumeration import (exhaustive_audit, records_to_csv, root_cloud,
                           write_thm24_disagreements)
 from .families import FamilySpec, TooSmall, build_family
-from .invariance import admits_invariant_colouring, is_invariant_structural
+from .invariance import (admits_invariant_colouring, construct_join_colouring,
+                         is_invariant_structural)
 from .meg import MegParseError, load_mixed, parse_graph6, write_meg
 from .polynomial import display
 from .roots import ConvergenceFailure, find_roots
@@ -63,7 +64,7 @@ def cmd_coeffs(args):
 def cmd_audit(args):
     summary = exhaustive_audit(args.n)
     print("n=%d: %d labelled mixed instances, %d colouring instances"
-          % (summary.n, summary.mixed_instances, summary.colouring_instances))
+          % (args.n, summary.mixed_instances, summary.colouring_instances))
     print("engine agreement:  %d/%d" % (summary.engine_agreements,
                                         summary.mixed_instances))
     print("theorem 2.1:       %d/%d" % (summary.thm21_ok, summary.mixed_instances))
@@ -108,7 +109,6 @@ def cmd_synth(args):
         print("no non-trivial invariant colouring with both colours at "
               "every vertex")
         return EXIT_OK
-    from .invariance import construct_join_colouring
     coloured = construct_join_colouring(graph, bip)
     left, right = bip
     print("sides: {%s} | {%s}" % (",".join(map(str, sorted(left))),

@@ -251,7 +251,11 @@ def all_labelled_mixed(n):
 
 @dataclass
 class AuditSummary:
-    n: int
+    """Counts of the coefficient and invariance audits over the instances
+    added to it.  Theorem 2.4 disagreements are kept as (edges,
+    formula_value, true_value) witnesses, not failures: the formula is
+    implemented verbatim and is known not to hold in general."""
+
     mixed_instances: int = 0
     engine_agreements: int = 0
     thm21_ok: int = 0
@@ -261,6 +265,47 @@ class AuditSummary:
     colouring_instances: int = 0
     thm32_equivalences: int = 0
     thm33_equivalences: int = 0
+
+    def add_mixed(self, M):
+        """Audit one mixed graph: the three engines agree, the polynomial
+        is monic of degree n with zero constant term (Theorem 2.1), and the
+        second- and third-coefficient formulas (Theorems 2.2 and 2.4)
+        against it."""
+        n = M.n
+        self.mixed_instances += 1
+        p_int = poly_interpolated(M)
+        if p_int == poly_recursive(M) == poly_partition(M):
+            self.engine_agreements += 1
+        if (p_int.degree == n and p_int.coefficient(n) == 1
+                and p_int.coefficient(0) == 0):
+            self.thm21_ok += 1
+        if n < 2:
+            self.thm22_agreements += 1
+            self.thm24_agreements += 1
+            return
+        audit = audit_coefficients(M, poly=p_int)
+        if audit.agrees_second:
+            self.thm22_agreements += 1
+        if audit.agrees_third:
+            self.thm24_agreements += 1
+        else:
+            edges = tuple((u, v, k.value) for (u, v), k in M.edge_list())
+            self.thm24_disagreements.append(
+                (edges, audit.formula_third, audit.true_third))
+
+    def add_colourings(self, graph):
+        """Theorems 3.2 and 3.3 on each 2-edge-colouring of a plain graph,
+        one per orbit under its automorphisms and the colour swap: the
+        structural test agrees with P(M) == P(shadow) and with the
+        absence of an independent-pair witness."""
+        gamma_poly = classical_chromatic(graph)
+        for M in colourings_of(graph, dedup=True):
+            self.colouring_instances += 1
+            structural = is_invariant_structural(M).invariant
+            if structural == (poly_partition(M) == gamma_poly):
+                self.thm32_equivalences += 1
+            if (independent_pair_witness(M) is None) == structural:
+                self.thm33_equivalences += 1
 
     def clean_except_thm24(self):
         """True when every audited property holds apart from the known
@@ -282,54 +327,16 @@ def write_thm24_disagreements(path, disagreements):
             fh.write("%s,%d,%d\n" % (enc, formula, true))
 
 
-def exhaustive_audit(n, include_mixed=None):
-    """Engine agreement and theorem audits over the full universe.
-
-    Labelled mixed exhaustion runs for n <= 4, the 2-edge-colouring
-    invariance sweep for n <= 5.  Theorem 2.4 disagreements are collected
-    as witnesses, not failures: the formula is implemented verbatim and is
-    known not to hold in general.
-    """
+def exhaustive_audit(n):
+    """AuditSummary over the full universe on n vertices: every labelled
+    mixed graph through add_mixed for n <= 4, and every plain graph
+    through add_colourings for n <= 5."""
     if n > 5:
         raise TooLarge("exhaustive audit capped at n = 5")
-    summary = AuditSummary(n=n)
-    if include_mixed is None:
-        include_mixed = n <= 4
-    if include_mixed and n > 4:
-        raise TooLarge("labelled mixed exhaustion capped at n = 4")
-    if include_mixed:
+    summary = AuditSummary()
+    if n <= 4:
         for M in all_labelled_mixed(n):
-            summary.mixed_instances += 1
-            p_int = poly_interpolated(M)
-            p_rec = poly_recursive(M)
-            p_par = poly_partition(M)
-            if p_int == p_rec == p_par:
-                summary.engine_agreements += 1
-            if (p_int.degree == n and p_int.coefficient(n) == 1
-                    and p_int.coefficient(0) == 0):
-                summary.thm21_ok += 1
-            if n >= 2:
-                audit = audit_coefficients(M, poly=p_int)
-                if audit.agrees_second:
-                    summary.thm22_agreements += 1
-                if audit.agrees_third:
-                    summary.thm24_agreements += 1
-                else:
-                    edges = tuple((u, v, k.value) for (u, v), k in M.edge_list())
-                    summary.thm24_disagreements.append(
-                        (edges, audit.formula_third, audit.true_third))
-            else:
-                summary.thm22_agreements += 1
-                summary.thm24_agreements += 1
+            summary.add_mixed(M)
     for graph in all_graphs(n):
-        gamma_poly = classical_chromatic(graph)
-        for M in colourings_of(graph, dedup=True):
-            summary.colouring_instances += 1
-            structural = is_invariant_structural(M).invariant
-            by_poly = poly_partition(M) == gamma_poly
-            if structural == by_poly:
-                summary.thm32_equivalences += 1
-            witness = independent_pair_witness(M)
-            if (witness is None) == structural:
-                summary.thm33_equivalences += 1
+        summary.add_colourings(graph)
     return summary

@@ -10,7 +10,7 @@ from itertools import combinations
 from .graphs import RED, BLUE, FLEX, EdgeKind, MixedGraph
 from .engine import chromatic_number, poly_recursive
 from .polynomial import IntPolynomial, compose_shift, falling_factorial
-from .roots import DEFAULT_TOL, find_roots
+from .roots import find_roots
 
 
 class PreconditionChiNotFull(Exception):
@@ -88,7 +88,7 @@ def shifted_join_graph(G, n, clique_colour=RED, joining_colour=BLUE):
     return coloured_join(mono_complete(n, clique_colour), G, joining_colour)
 
 
-def poly_shifted_join(G, n, clique_colour=RED, joining_colour=BLUE):
+def poly_shifted_join(G, n):
     """Polynomial of the shifted join: the clique rainbows n fresh colours
     and G keeps its own polynomial in the remaining palette.
 
@@ -148,7 +148,7 @@ def limit_curve_rows(n, roots, shift=0):
             for re, im, res in roots.rows()]
 
 
-def limit_curve_experiment(sizes, shift=0, tol=DEFAULT_TOL):
+def limit_curve_experiment(sizes, shift=0):
     """Roots of the complete-bipartite family's bracket factor and their
     horizontal distance to the limiting vertical line Re = 4 + shift.
 
@@ -157,19 +157,16 @@ def limit_curve_experiment(sizes, shift=0, tol=DEFAULT_TOL):
     (size, re, im, residual, distance), conjugates written out.
     """
     return [row for n in sizes
-            for row in limit_curve_rows(n, find_roots(thm45_bracket(n), tol=tol),
-                                        shift)]
+            for row in limit_curve_rows(n, find_roots(thm45_bracket(n)), shift)]
 
 
 def hshift_graph(n, ell):
     """Red K_n joined to the n >= 5 family graph with blue joining edges."""
-    return shifted_join_graph(thm45_graph(ell), n, clique_colour=RED,
-                              joining_colour=BLUE)
+    return shifted_join_graph(thm45_graph(ell), n)
 
 
 def hshift_poly(n, ell):
-    return poly_shifted_join(thm45_poly(ell), n, clique_colour=RED,
-                             joining_colour=BLUE)
+    return poly_shifted_join(thm45_poly(ell), n)
 
 
 # parameter count of each family kind

@@ -205,64 +205,53 @@ def closure_graph(M):
 def obstructing_pairs(M):
     """Vertex-disjoint (Red edge, Blue edge) pairs whose four endpoints
     induce a chromatic-number-2 subgraph of the closure graph."""
-    lam = closure_graph(M)
+    return _obstructing(M, closure_graph(M))
+
+
+def _obstructing(M, lam):
+    """obstructing_pairs of M, given its closure graph lam.
+
+    The four endpoints always carry e and f, so chi >= 2; chi == 2 iff
+    they span no odd cycle, that is no triangle.  Any three of the four
+    contain both ends of e or of f, so a triangle exists iff some end of
+    one edge is adjacent in lam to both ends of the other.
+    """
+    nbrs = _neighbours(M.n, lam.adjacency)
+    common = {p: nbrs[p[0]] & nbrs[p[1]] for p in M.edges}
     reds = sorted(p for p, k in M.edges.items() if k is RED)
     blues = sorted(p for p, k in M.edges.items() if k is BLUE)
-    out = set()
-    for e in reds:
-        for f in blues:
-            quad = {e[0], e[1], f[0], f[1]}
-            if len(quad) != 4:
-                continue
-            sub = [(u, v) for u, v in combinations(sorted(quad), 2) if lam.adjacent(u, v)]
-            # the four endpoints always carry e and f, so chi >= 2; chi == 2
-            # iff the induced subgraph is bipartite
-            if _is_bipartite(sorted(quad), sub):
-                out.add((e, f))
-    return out
+    return {(e, f) for e in reds for f in blues
+            if e[0] not in f and e[1] not in f
+            and common[e].isdisjoint(f) and common[f].isdisjoint(e)}
 
 
-def _is_bipartite(verts, edge_pairs):
-    nbrs = {v: [] for v in verts}
-    for u, v in edge_pairs:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    side = {}
-    for start in verts:
-        if start in side:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if w not in side:
-                    side[w] = side[v] ^ 1
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return False
-    return True
+def _neighbours(n, pairs):
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
 
 
 def triangles(graph):
     """Induced K3 subgraphs of a SimpleGraph, as sorted vertex triples."""
-    out = set()
-    for u, v in graph.adjacency:
-        for w in range(graph.n):
-            if w != u and w != v and graph.adjacent(u, w) and graph.adjacent(v, w):
-                out.add(tuple(sorted((u, v, w))))
-    return out
+    nbrs = _neighbours(graph.n, graph.adjacency)
+    return {tuple(sorted((u, v, w)))
+            for u, v in graph.adjacency for w in nbrs[u] & nbrs[v]}
 
 
 def census(M):
     counts = M.kind_counts()
+    # bichromatic pairs are never shadow edges, so the closure's extra
+    # edges are exactly the pairs
+    lam = closure_graph(M)
     return StructuralCensus(
         red_count=counts[RED],
         blue_count=counts[BLUE],
         flex_count=counts[FLEX],
-        ppair_count=len(bichromatic_pairs(M)),
+        ppair_count=len(lam.adjacency) - len(M.edges),
         triangle_count=len(triangles(shadow(M))),
-        obstruct_count=len(obstructing_pairs(M)),
+        obstruct_count=len(_obstructing(M, lam)),
     )
 
 
@@ -366,6 +355,6 @@ def induced(M, subset):
     return MixedGraph(len(keep), edges)
 
 
-def from_simple(graph, kind=FLEX):
-    """Mixed graph with every edge of a plain graph given one kind."""
-    return MixedGraph(graph.n, [(u, v, kind) for u, v in graph.adjacency])
+def from_simple(graph):
+    """Mixed graph with every edge of a plain graph Flexible."""
+    return MixedGraph(graph.n, [(u, v, FLEX) for u, v in graph.adjacency])

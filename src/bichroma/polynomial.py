@@ -36,14 +36,6 @@ class IntPolynomial:
     def one(cls):
         return cls((1,))
 
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
     @property
     def degree(self):
         """Degree, with -1 as the sentinel for the zero polynomial."""

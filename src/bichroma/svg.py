@@ -2,12 +2,14 @@
 
 import math
 
+WIDTH = HEIGHT = 640
+
 
 def _ticks(lo, hi):
     return list(range(math.ceil(lo), math.floor(hi) + 1))
 
 
-def scatter_svg(points, width=640, height=640):
+def scatter_svg(points):
     """Standalone SVG scatter of (x, y) points with integer-tick axes.
 
     Viewport is the data bounding box with a 5% margin; each point is a
@@ -27,30 +29,30 @@ def scatter_svg(points, width=640, height=640):
     max_y += 0.05 * span_y
 
     def sx(x):
-        return (x - min_x) / (max_x - min_x) * width
+        return (x - min_x) / (max_x - min_x) * WIDTH
 
     def sy(y):
         # svg y grows downward
-        return height - (y - min_y) / (max_y - min_y) * height
+        return HEIGHT - (y - min_y) / (max_y - min_y) * HEIGHT
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-               'viewBox="0 0 %d %d">' % (width, height, width, height))
-    out.append('<rect width="%d" height="%d" fill="white"/>' % (width, height))
+               'viewBox="0 0 %d %d">' % (WIDTH, HEIGHT, WIDTH, HEIGHT))
+    out.append('<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT))
     if min_y <= 0 <= max_y:
         out.append('<line x1="0" y1="%.2f" x2="%d" y2="%.2f" stroke="#888"/>'
-                   % (sy(0), width, sy(0)))
+                   % (sy(0), WIDTH, sy(0)))
     if min_x <= 0 <= max_x:
         out.append('<line x1="%.2f" y1="0" x2="%.2f" y2="%d" stroke="#888"/>'
-                   % (sx(0), sx(0), height))
+                   % (sx(0), sx(0), HEIGHT))
     for t in _ticks(min_x, max_x):
         out.append('<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" stroke="#ccc"/>'
-                   % (sx(t), 0, sx(t), height))
+                   % (sx(t), 0, sx(t), HEIGHT))
         out.append('<text x="%.2f" y="%d" font-size="10" fill="#444">%d</text>'
-                   % (sx(t) + 2, height - 4, t))
+                   % (sx(t) + 2, HEIGHT - 4, t))
     for t in _ticks(min_y, max_y):
         out.append('<line x1="%d" y1="%.2f" x2="%d" y2="%.2f" stroke="#ccc"/>'
-                   % (0, sy(t), width, sy(t)))
+                   % (0, sy(t), WIDTH, sy(t)))
         out.append('<text x="2" y="%.2f" font-size="10" fill="#444">%d</text>'
                    % (sy(t) - 2, t))
     for x, y in points:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from bichroma import acceptance
 from bichroma.cli import main
 
 TWO_K2 = "meg 4\n0 1 R\n2 3 B\n"
@@ -150,3 +151,17 @@ def test_poly_interpolate_refuses_past_its_bound(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert peak < 2 ** 20  # refused before the assignment grid exists
+
+
+def test_verify_reports_failed_criteria(tmp_path, monkeypatch, capsys):
+    rows = [(num, num != 4, "detail") for num in range(1, 13)]
+    monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: rows)
+    assert main(["verify", "--out", str(tmp_path)]) == 3
+    assert "FAILED criteria: 4" in capsys.readouterr().out
+
+
+def test_verify_all_passed(tmp_path, monkeypatch, capsys):
+    rows = [(num, True, "detail") for num in range(1, 13)]
+    monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: rows)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert "all 12 criteria passed" in capsys.readouterr().out

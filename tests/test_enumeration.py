@@ -166,5 +166,3 @@ def test_exhaustive_audit_n3_clean():
 def test_exhaustive_audit_caps():
     with pytest.raises(TooLarge):
         exhaustive_audit(6)
-    with pytest.raises(TooLarge):
-        exhaustive_audit(5, include_mixed=True)

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from bichroma.graphs import (RED, BLUE, FLEX, MixedGraph, SimpleGraph,
@@ -63,6 +65,23 @@ def test_obstructing_pairs_blocked_by_closure_odd_structure():
     assert obstructing_pairs(M) == set()
 
 
+def test_obstructing_pairs_match_two_colouring_search():
+    # every labelled 4-vertex mixed graph: a disjoint (Red, Blue) edge pair
+    # spans all four vertices, and it obstructs iff some 2-colouring of
+    # them is proper on the closure graph
+    pairs = list(combinations(range(4), 2))
+    for kinds in product((None, RED, BLUE, FLEX), repeat=6):
+        M = MixedGraph(4, [(u, v, k) for (u, v), k in zip(pairs, kinds)
+                           if k is not None])
+        lam = closure_graph(M)
+        two_colourable = any(all(side[u] != side[v] for u, v in lam.adjacency)
+                             for side in product((0, 1), repeat=4))
+        want = {(e, f) for e, ke in M.edges.items() for f, kf in M.edges.items()
+                if ke is RED and kf is BLUE and not set(e) & set(f)
+                and two_colourable}
+        assert obstructing_pairs(M) == want
+
+
 def test_census_known_values():
     assert census(two_k2()).as_tuple() == (1, 1, 0, 0, 0, 1)
     assert census(rb_path()).as_tuple() == (1, 1, 0, 1, 0, 0)
@@ -73,6 +92,12 @@ def test_census_known_values():
 def test_triangles():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert triangles(g) == {(0, 1, 2)}
+    # every labelled 5-vertex graph against the definition
+    pairs = list(combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        g = SimpleGraph.from_edges(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        assert triangles(g) == {t for t in combinations(range(5), 3)
+                                if all(q in g.adjacency for q in combinations(t, 2))}
 
 
 def test_add_flexible():
@@ -104,7 +129,6 @@ def test_identify_rejects_bichromatic_pair():
 def test_identify_never_clashes_on_legal_pairs():
     # the bichromatic-pair guard makes a red-blue parallel merge
     # impossible; verify exhaustively on 4 vertices
-    from itertools import combinations, product
     pairs = list(combinations(range(4), 2))
     for kinds in product((None, RED, BLUE, FLEX), repeat=6):
         M = MixedGraph(4, [(u, v, k) for (u, v), k in zip(pairs, kinds)
